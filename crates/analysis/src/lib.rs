@@ -41,5 +41,5 @@ mod loops;
 
 pub use cfg::Cfg;
 pub use dom::DomTree;
-pub use liveness::{terminator_uses, Liveness};
+pub use liveness::{terminator_uses, LiveSet, Liveness};
 pub use loops::{BackEdge, Loops, NaturalLoop};

@@ -6,7 +6,7 @@
 //! vocabulary for the *unstructured* failures that layer cannot see:
 //! panics and wall-clock deadline trips, contained at the harness-cell
 //! level by the evaluation runner (`treegion-eval`) and at the region
-//! level by `schedule_function_robust`.
+//! level by the robust chain behind [`crate::Pipeline::run_set`].
 //!
 //! A [`ContainmentEvent`] records one contained incident — which scope
 //! (harness cell or region) failed, on which attempt, why

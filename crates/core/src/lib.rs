@@ -49,8 +49,6 @@ pub use pipeline::{
     form_and_lower, FunctionRun, LoweredFunction, ModuleRun, Pipeline, RegionSchedule,
 };
 pub use region::{ExitEdge, Region, RegionId, RegionKind, RegionSet};
-#[allow(deprecated)]
-pub use robust::schedule_function_robust;
 pub use robust::{carve_bb, carve_slr, RegionOutcome, RobustOptions, RobustResult};
 pub use sched::{
     last_sched_metrics, render_schedule, schedule_region, schedule_with_ddg, try_schedule_region,

@@ -245,6 +245,21 @@ pub fn try_lower_region(
     origin_map: Option<&[BlockId]>,
     budgets: &Budgets,
 ) -> Result<LoweredRegion, SchedFailure> {
+    within_op_budget(f, region, budgets, || {
+        lower_region(f, region, live, origin_map)
+    })
+}
+
+/// The op-budget checks of [`try_lower_region`] around any source of
+/// the region's lowering — `lower` runs only if the source count fits —
+/// so a region lowered ahead of time is held to the same budget, in the
+/// same order, as one lowered on the spot.
+pub(crate) fn within_op_budget(
+    f: &Function,
+    region: &Region,
+    budgets: &Budgets,
+    lower: impl FnOnce() -> LoweredRegion,
+) -> Result<LoweredRegion, SchedFailure> {
     if let Some(cap) = budgets.max_region_ops {
         let src = region.num_source_ops(f);
         if src > cap {
@@ -254,7 +269,7 @@ pub fn try_lower_region(
             });
         }
     }
-    let lr = lower_region(f, region, live, origin_map);
+    let lr = lower();
     if let Some(cap) = budgets.max_region_ops {
         if lr.num_ops() > cap {
             return Err(SchedFailure::OpBudgetExceeded {
@@ -637,7 +652,7 @@ impl<'a> Lowerer<'a> {
             .live
             .live_in(edge.target)
             .iter()
-            .filter_map(|arch| map.get(arch).map(|renamed| (*arch, *renamed)))
+            .filter_map(|arch| map.get(&arch).map(|renamed| (arch, *renamed)))
             .collect();
         copies.sort();
         self.exits.push(RegionExit {

@@ -449,7 +449,17 @@ impl<'m> Pipeline<'m> {
         origin: Option<&[BlockId]>,
         obs: &dyn PassObserver,
     ) -> Result<RobustResult, PipelineError> {
-        run_robust(f, set, origin, self.machine, &self.options, obs)
+        let live = Liveness::new(f, &Cfg::new(f));
+        run_robust(
+            f,
+            set,
+            origin,
+            &live,
+            None,
+            self.machine,
+            &self.options,
+            obs,
+        )
     }
 
     /// [`Pipeline::run_set`] over a [`FormOutcome`].
@@ -463,6 +473,39 @@ impl<'m> Pipeline<'m> {
         obs: &dyn PassObserver,
     ) -> Result<RobustResult, PipelineError> {
         self.run_set(&formed.function, &formed.regions, Some(&formed.origin), obs)
+    }
+
+    /// [`Pipeline::run_formed`] from the front half [`form_and_lower`]
+    /// (or [`Pipeline::lower`]) already produced for `formed`: its
+    /// liveness and lowered regions are reused, so primary attempts go
+    /// straight to the op-budget checks and scheduling. Outcomes and
+    /// events are identical to [`Pipeline::run_formed`]; observers see
+    /// no lowering stage for the primary attempts, since none runs.
+    ///
+    /// # Errors
+    ///
+    /// See [`Pipeline::run_set`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lowered` does not hold one region per region of
+    /// `formed`.
+    pub fn run_lowered(
+        &self,
+        formed: &FormOutcome,
+        lowered: &LoweredFunction,
+        obs: &dyn PassObserver,
+    ) -> Result<RobustResult, PipelineError> {
+        run_robust(
+            &formed.function,
+            &formed.regions,
+            Some(&formed.origin),
+            &lowered.live,
+            Some(&lowered.lowered),
+            self.machine,
+            &self.options,
+            obs,
+        )
     }
 
     /// Stages 1–6 — forms one function and drives it through the robust

@@ -33,14 +33,14 @@ use crate::error::{
     VerifyMode,
 };
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
-use crate::lower::{try_lower_region, LoweredRegion};
+use crate::lower::{try_lower_region, within_op_budget, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::{Region, RegionKind, RegionSet};
 use crate::sched::{try_schedule_with_ddg, Schedule, ScheduleOptions};
 use crate::verify_sched::{verify_schedule, ScheduleError};
 use std::collections::HashSet;
 use std::time::Instant;
-use treegion_analysis::{Cfg, Liveness};
+use treegion_analysis::Liveness;
 use treegion_ir::{BlockId, Function};
 use treegion_machine::MachineModel;
 
@@ -132,53 +132,37 @@ impl RobustResult {
     }
 }
 
-/// Deprecated free-function entry point to the robust chain.
-///
-/// This was one of two colliding `schedule_function_robust` entry points
-/// (the other lived in the eval crate and has been removed). The
-/// canonical driver is now [`crate::Pipeline`]: use
-/// [`crate::Pipeline::run_formed`] / [`crate::Pipeline::run_set`], which
-/// additionally thread [`PassObserver`] hooks through every stage.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] when one region fails at the primary level
-/// *and* at every fallback level the policy permits.
-#[deprecated(
-    since = "0.5.0",
-    note = "use Pipeline::run_formed / Pipeline::run_set; this shim runs unobserved"
-)]
-pub fn schedule_function_robust(
-    f: &Function,
-    set: &RegionSet,
-    origin_map: Option<&[BlockId]>,
-    m: &MachineModel,
-    opts: &RobustOptions,
-) -> Result<RobustResult, PipelineError> {
-    run_robust(f, set, origin_map, m, opts, &crate::observe::NullObserver)
-}
-
 /// Schedules every region of `set` over `f` with verification, budgets,
 /// optional fault injection, and the degradation chain — the engine
-/// behind [`crate::Pipeline::run_set`].
+/// behind [`crate::Pipeline::run_set`] and
+/// [`crate::Pipeline::run_lowered`].
 ///
 /// `origin_map`, when present (after tail duplication), maps each block to
-/// its original (see [`crate::lower_region`]).
+/// its original (see [`crate::lower_region`]); `live` is liveness over
+/// `f`. `lowered`, when present, holds every region of `set` already
+/// lowered with that liveness and origin map: primary attempts start
+/// from a copy instead of lowering again (carved fallback pieces are
+/// always lowered on the spot).
 ///
 /// Stage hooks ([`PassObserver::stage_enter`]/`stage_exit`) fire inside
 /// the per-region work (possibly concurrently); degradation hooks fire at
 /// the merge point, in region order, so observers see a deterministic
 /// event stream at any job count.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_robust(
     f: &Function,
     set: &RegionSet,
     origin_map: Option<&[BlockId]>,
+    live: &Liveness,
+    lowered: Option<&[LoweredRegion]>,
     m: &MachineModel,
     opts: &RobustOptions,
     obs: &dyn PassObserver,
 ) -> Result<RobustResult, PipelineError> {
-    let cfg = Cfg::new(f);
-    let live = Liveness::new(f, &cfg);
+    if let Some(lowered) = lowered {
+        assert_eq!(lowered.len(), set.len(), "one lowered region per region");
+    }
+    let primary = |idx: usize| lowered.map(|l| &l[idx]);
     let mut result = RobustResult {
         outcomes: Vec::new(),
         events: Vec::new(),
@@ -194,7 +178,8 @@ pub(crate) fn run_robust(
                 f,
                 idx,
                 region,
-                &live,
+                live,
+                primary(idx),
                 origin_map,
                 m,
                 opts,
@@ -216,7 +201,18 @@ pub(crate) fn run_robust(
     let regions = set.regions();
     let indexed: Vec<usize> = (0..regions.len()).collect();
     let runs = treegion_par::par_map(&indexed, |&idx| {
-        schedule_one(f, idx, &regions[idx], &live, origin_map, m, opts, None, obs)
+        schedule_one(
+            f,
+            idx,
+            &regions[idx],
+            live,
+            primary(idx),
+            origin_map,
+            m,
+            opts,
+            None,
+            obs,
+        )
     });
     for run in runs {
         let run = run?;
@@ -251,6 +247,7 @@ fn schedule_one(
     idx: usize,
     region: &Region,
     live: &Liveness,
+    lowered: Option<&LoweredRegion>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -261,7 +258,10 @@ fn schedule_one(
         outcomes: Vec::new(),
         events: Vec::new(),
     };
-    match attempt_contained(f, idx, region, live, origin_map, m, opts, injector, obs) {
+    let primary = attempt_contained(
+        f, idx, region, live, lowered, origin_map, m, opts, injector, obs,
+    );
+    match primary {
         Ok(att) => {
             if let Some(err) = att.tolerated {
                 run.events.push(DegradationEvent {
@@ -350,6 +350,7 @@ fn attempt_contained(
     idx: usize,
     region: &Region,
     live: &Liveness,
+    lowered: Option<&LoweredRegion>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -360,7 +361,9 @@ fn attempt_contained(
         if opts.panic_on_region == Some(idx) {
             panic!("injected panic while scheduling region #{idx} (panic_on_region)");
         }
-        attempt(f, idx, region, live, origin_map, m, opts, injector, obs)
+        attempt(
+            f, idx, region, live, lowered, origin_map, m, opts, injector, obs,
+        )
     })
 }
 
@@ -375,7 +378,10 @@ pub(crate) const MAX_SPILL_ROUNDS: usize = 8;
 ///
 /// Each stage is bracketed with [`PassObserver`] enter/exit hooks;
 /// `stage_exit` fires only when the stage succeeds (a failed attempt
-/// aborts mid-stage, and its partial time is not attributed).
+/// aborts mid-stage, and its partial time is not attributed). A region
+/// passed in already `lowered` skips the lowering stage and its hooks —
+/// only its op-budget checks run, exactly as [`try_lower_region`]
+/// applies them.
 ///
 /// On machines with a finite register file a [`SchedFailure::
 /// RegisterPressure`] livelock in the GPR class is not (yet) fatal: the
@@ -390,6 +396,7 @@ fn attempt(
     idx: usize,
     region: &Region,
     live: &Liveness,
+    lowered: Option<&LoweredRegion>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -400,20 +407,26 @@ fn attempt(
         function: f.name(),
         region: Some(idx),
     };
-    obs.stage_enter(Stage::Lowering, scope);
-    let t = Instant::now();
-    let mut lr = try_lower_region(f, region, live, origin_map, &opts.budgets)?;
-    obs.stage_exit(
-        Stage::Lowering,
-        scope,
-        t.elapsed(),
-        StageStats {
-            regions: 1,
-            ops: lr.num_ops(),
-            edges: 0,
-            ..StageStats::default()
-        },
-    );
+    let mut lr = match lowered {
+        Some(lr) => within_op_budget(f, region, &opts.budgets, || lr.clone())?,
+        None => {
+            obs.stage_enter(Stage::Lowering, scope);
+            let t = Instant::now();
+            let lr = try_lower_region(f, region, live, origin_map, &opts.budgets)?;
+            obs.stage_exit(
+                Stage::Lowering,
+                scope,
+                t.elapsed(),
+                StageStats {
+                    regions: 1,
+                    ops: lr.num_ops(),
+                    edges: 0,
+                    ..StageStats::default()
+                },
+            );
+            lr
+        }
+    };
 
     let class: Option<FaultClass> = injector.as_deref_mut().and_then(FaultInjector::choose);
     let mut sched_opts = opts.sched;
@@ -584,7 +597,7 @@ fn schedule_pieces(
     };
     pieces
         .iter()
-        .map(|p| contain(|| attempt(f, idx, p, live, origin_map, m, &strict, None, obs)))
+        .map(|p| contain(|| attempt(f, idx, p, live, None, origin_map, m, &strict, None, obs)))
         .collect()
 }
 
@@ -642,6 +655,7 @@ mod tests {
     use super::*;
     use crate::form_treegions;
     use crate::testutil::figure1_cfg;
+    use treegion_analysis::Cfg;
     use treegion_ir::{FunctionBuilder, Op};
 
     fn model() -> MachineModel {
@@ -833,6 +847,65 @@ mod tests {
                 o.lowered.num_ops(),
                 o.level
             );
+        }
+    }
+
+    /// Field-by-field equality of two robust results (`Schedule` holds a
+    /// hash map, so its `Debug` rendering is not stable enough to compare).
+    fn assert_same_result(a: &RobustResult, b: &RobustResult) {
+        assert_eq!(a.events, b.events, "degradation events");
+        assert_eq!(a.outcomes.len(), b.outcomes.len(), "outcome count");
+        for (i, (x, y)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
+            assert_eq!(x.region_index, y.region_index, "outcome {i}");
+            assert_eq!(x.level, y.level, "outcome {i}");
+            assert_eq!(format!("{:?}", x.region), format!("{:?}", y.region));
+            assert_eq!(format!("{:?}", x.lowered), format!("{:?}", y.lowered));
+            let (s, t) = (&x.schedule, &y.schedule);
+            assert_eq!(s.cycles, t.cycles, "outcome {i}");
+            assert_eq!(s.cycle_of, t.cycle_of, "outcome {i}");
+            assert_eq!(s.exit_cycles, t.exit_cycles, "outcome {i}");
+            assert_eq!(s.eliminated, t.eliminated, "outcome {i}");
+            assert_eq!(s.reg_alias, t.reg_alias, "outcome {i}");
+        }
+    }
+
+    #[test]
+    fn cached_regions_meet_the_op_budget_like_fresh_lowering() {
+        // A primary attempt on an already-lowered region must apply
+        // `max_region_ops` exactly as `try_lower_region` does. At 8 the
+        // lowered-count check degrades the entry treegion and both
+        // entries recover the same pieces; at 0 the source-count check
+        // rejects the entry region before its lowered count is looked at
+        // (a different `ops` figure), at every rung.
+        let (f, _) = figure1_cfg();
+        let (formed, front) = crate::form_and_lower(
+            &f,
+            &crate::former::RegionConfig::Treegion,
+            &crate::observe::NullObserver,
+        );
+        let m = model();
+        for cap in [8, 0] {
+            let opts = RobustOptions {
+                budgets: Budgets {
+                    max_region_ops: Some(cap),
+                    ..Budgets::UNLIMITED
+                },
+                ..Default::default()
+            };
+            let p = crate::Pipeline::with_options(&m, opts);
+            let fresh = p.run_formed(&formed, &crate::observe::NullObserver);
+            let cached = p.run_lowered(&formed, &front, &crate::observe::NullObserver);
+            match (fresh, cached) {
+                (Ok(a), Ok(b)) => {
+                    assert!(a.events.iter().any(|e| e.cause.label() == "op-budget"));
+                    assert_same_result(&a, &b);
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(cap, 0, "{a}");
+                    assert_eq!(a, b);
+                }
+                (a, b) => panic!("budget {cap}: entries disagree: {a:?} vs {b:?}"),
+            }
         }
     }
 

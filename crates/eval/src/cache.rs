@@ -8,10 +8,15 @@
 //! shares it:
 //!
 //! * [`FormationCache::formation`] — `(module, config)` →
-//!   [`ModuleFormation`]: per-function [`treegion::FormOutcome`],
-//!   `Cfg`, `Liveness`, and every region's [`LoweredRegion`], all
-//!   produced by the driver's machine-independent front half
-//!   ([`form_and_lower`]).
+//!   [`ModuleFormation`]: per-function [`treegion::FormOutcome`] and the
+//!   [`LoweredFunction`] the driver's machine-independent front half
+//!   ([`form_and_lower`]) builds over it: `Cfg`, `Liveness` (a dense
+//!   bit-vector fixpoint), and every region's lowering. Every scheduling
+//!   cell consumes this layer: unbounded machines schedule the lowered
+//!   regions directly, and finite register files drive the robust chain
+//!   from them through [`treegion::Pipeline::run_lowered`], whose primary
+//!   attempts start from the cached lowering (only carved fallback
+//!   pieces are lowered again).
 //! * [`FormationCache::time`] — `(module, config, heuristic, dompar,
 //!   machine)` → the scalar `program_time` of that cell (figures share
 //!   cells: fig6's treegion column is fig8's dep-height column).
@@ -48,9 +53,8 @@ use crate::{EvalConfig, RegionConfig};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use treegion::{form_and_lower, FormOutcome, Heuristic, LoweredRegion, NullObserver};
-use treegion_analysis::{Cfg, Liveness};
+use std::sync::{Arc, Mutex, OnceLock};
+use treegion::{form_and_lower, FormOutcome, Heuristic, LoweredFunction, NullObserver};
 use treegion_ir::Module;
 use treegion_machine::MachineModel;
 use treegion_par::lock_tolerant;
@@ -115,18 +119,14 @@ fn machine_key(m: &MachineModel) -> String {
 }
 
 /// One function's formation artifacts: the (possibly transformed)
-/// function with its regions, the analyses lowering needs, and every
-/// region's lowering.
+/// function with its regions, and the driver's front half over it.
 #[derive(Clone, Debug)]
 pub struct FunctionFormation {
     /// Formation result (function, regions, origin map, original sizes).
     pub formed: FormOutcome,
-    /// CFG of the formed function.
-    pub cfg: Cfg,
-    /// Liveness over that CFG.
-    pub live: Liveness,
-    /// Lowered regions, parallel to `formed.regions.regions()`.
-    pub lowered: Vec<LoweredRegion>,
+    /// CFG, liveness, and the lowered regions (parallel to
+    /// `formed.regions.regions()`) of the formed function.
+    pub front: LoweredFunction,
 }
 
 /// A whole module formed under one [`RegionConfig`].
@@ -141,13 +141,8 @@ impl ModuleFormation {
         let functions = treegion_par::par_map(module.functions(), |f| {
             // Stages 1–2 of the driver (the machine-independent front
             // half): formation, CFG/liveness, lowering of every region.
-            let (formed, lf) = form_and_lower(f, config, &NullObserver);
-            FunctionFormation {
-                formed,
-                cfg: lf.cfg,
-                live: lf.live,
-                lowered: lf.lowered,
-            }
+            let (formed, front) = form_and_lower(f, config, &NullObserver);
+            FunctionFormation { formed, front }
         });
         ModuleFormation { functions }
     }
@@ -195,9 +190,12 @@ pub struct CacheStats {
 /// fingerprint (its `Debug` rendering).
 type TimeKey = (ModuleKey, ConfigKey, Heuristic, bool, String);
 
+/// A formation-layer entry, filled by the first caller for its key.
+type FormationSlot = Arc<OnceLock<Arc<ModuleFormation>>>;
+
 struct Inner {
     enabled: bool,
-    formations: Mutex<HashMap<(ModuleKey, ConfigKey), Arc<ModuleFormation>>>,
+    formations: Mutex<HashMap<(ModuleKey, ConfigKey), FormationSlot>>,
     times: Mutex<HashMap<TimeKey, f64>>,
     formation_counters: Counters,
     time_counters: Counters,
@@ -354,23 +352,25 @@ impl FormationCache {
             return Arc::new(ModuleFormation::compute(module, config));
         }
         let key = (ModuleKey::of(module), ConfigKey::of(config));
-        if let Some(hit) = lock_tolerant(&self.inner.formations).get(&key) {
-            self.inner.formation_counters.hit();
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock so misses on distinct keys proceed in
-        // parallel; on a race the first insertion wins (both computations
-        // are deterministic and identical).
-        self.inner.formation_counters.miss();
-        let computed = Arc::new(ModuleFormation::compute(module, config));
-        Arc::clone(
-            self.inner
-                .formations
-                .lock()
-                .unwrap()
+        // One slot per key, filled outside the map lock so misses on
+        // distinct keys proceed in parallel; callers racing on the same
+        // key wait on its slot, so each formation is computed once even
+        // when concurrent cells ask for it together.
+        let slot = Arc::clone(
+            lock_tolerant(&self.inner.formations)
                 .entry(key)
-                .or_insert(computed),
-        )
+                .or_default(),
+        );
+        let mut computed = false;
+        let formation = slot.get_or_init(|| {
+            self.inner.formation_counters.miss();
+            computed = true;
+            Arc::new(ModuleFormation::compute(module, config))
+        });
+        if !computed {
+            self.inner.formation_counters.hit();
+        }
+        Arc::clone(formation)
     }
 
     /// Memoizes the scalar `program_time` of one `(module, config,

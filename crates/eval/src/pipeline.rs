@@ -115,16 +115,16 @@ pub fn program_time_cached(
             },
         );
         if machine.has_finite_regs() {
-            // Finite file: drive the robust chain, where pressure
-            // livelocks are recovered by spill insertion (whose cycles
-            // are part of the region's cost), irreducible overflows
-            // degrade down the SLR→BB ladder, and every accepted
-            // schedule is verifier-proven to fit the file.
+            // Finite file: drive the robust chain from the cached front
+            // half, where pressure livelocks are recovered by spill
+            // insertion (whose cycles are part of the region's cost),
+            // irreducible overflows degrade down the SLR→BB ladder, and
+            // every accepted schedule is verifier-proven to fit the file.
             return formation
                 .functions
                 .iter()
                 .map(|ff| {
-                    p.run_formed(&ff.formed, &treegion::NullObserver)
+                    p.run_lowered(&ff.formed, &ff.front, &treegion::NullObserver)
                         .unwrap_or_else(|e| {
                             panic!("robust chain failed under finite registers: {e}")
                         })
@@ -137,9 +137,9 @@ pub fn program_time_cached(
             .iter()
             .map(|ff| {
                 let name = ff.formed.function.name();
-                let indexed: Vec<usize> = (0..ff.lowered.len()).collect();
+                let indexed: Vec<usize> = (0..ff.front.lowered.len()).collect();
                 treegion_par::par_map(&indexed, |&i| {
-                    let lr = &ff.lowered[i];
+                    let lr = &ff.front.lowered[i];
                     let scope = StageScope {
                         function: name,
                         region: Some(i),

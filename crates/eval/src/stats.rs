@@ -49,7 +49,7 @@ pub fn region_stats_cached(
         let formed = &ff.formed;
         original_source_ops += formed.original_ops;
         source_ops_after += formed.function.num_ops();
-        for (r, lowered) in formed.regions.regions().iter().zip(ff.lowered.iter()) {
+        for (r, lowered) in formed.regions.regions().iter().zip(&ff.front.lowered) {
             num_regions += 1;
             total_blocks += r.num_blocks();
             max_blocks = max_blocks.max(r.num_blocks());
@@ -101,16 +101,17 @@ pub fn pressure_stats_cached(
     );
     for ff in &formation.functions {
         if machine.has_finite_regs() {
-            // The robust chain recovers pressure livelocks by spilling
-            // and degrades irreducible overflows — the counters cover
-            // every attempt the chain made.
+            // The robust chain, driven from the cached front half,
+            // recovers pressure livelocks by spilling and degrades
+            // irreducible overflows — the counters cover every attempt
+            // the chain made.
             let _ = p
-                .run_formed(&ff.formed, &prof)
+                .run_lowered(&ff.formed, &ff.front, &prof)
                 .unwrap_or_else(|e| panic!("robust chain failed under finite registers: {e}"));
             continue;
         }
         let name = ff.formed.function.name();
-        for (i, lr) in ff.lowered.iter().enumerate() {
+        for (i, lr) in ff.front.lowered.iter().enumerate() {
             let scope = StageScope {
                 function: name,
                 region: Some(i),

@@ -478,8 +478,10 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes the tests that assert on the global worker ledger (the
-    /// default test harness runs tests on several threads).
+    /// Serializes every test that takes workers from the global ledger or
+    /// asserts on it (the default test harness runs tests on several
+    /// threads, and a concurrent map's workers would show up in another
+    /// test's `LIVE_WORKERS == 0` check).
     static LEDGER: Mutex<()> = Mutex::new(());
 
     fn ledger() -> std::sync::MutexGuard<'static, ()> {
@@ -488,6 +490,7 @@ mod tests {
 
     #[test]
     fn preserves_input_order() {
+        let _g = ledger();
         let items: Vec<usize> = (0..257).collect();
         let serial: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
         for jobs in [1, 2, 4, 8, 33] {
@@ -498,6 +501,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _g = ledger();
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_jobs(8, &empty, |x| *x).is_empty());
         assert_eq!(par_map_jobs(8, &[7u32], |x| x + 1), vec![8]);
@@ -517,6 +521,7 @@ mod tests {
 
     #[test]
     fn nested_maps_complete_and_stay_ordered() {
+        let _g = ledger();
         let outer: Vec<usize> = (0..8).collect();
         let got = par_map_jobs(4, &outer, |&i| {
             let inner: Vec<usize> = (0..16).collect();

@@ -6,7 +6,7 @@
 //!   quarantines the poison inputs;
 //! * resuming that run (faults removed) re-runs *only* the two failed
 //!   cells and merges into a report byte-identical to a clean serial run;
-//! * region-level panics injected under `schedule_function_robust` are
+//! * region-level panics injected under the robust chain (`Pipeline::run_set`) are
 //!   contained and recovered by the fallback chain.
 
 use std::path::PathBuf;

@@ -5,11 +5,18 @@
 //!   the synthetic benchmarks, and fuzz seeds;
 //! * the [`PassObserver`] hooks fire exactly once per stage per region,
 //!   as properly nested enter/exit brackets in dataflow order, with
-//!   monotonic timestamps within each region.
+//!   monotonic timestamps within each region;
+//! * the eval harness's finite-register cells, which drive the robust
+//!   chain from the cached front half ([`Pipeline::run_lowered`]), return
+//!   exactly what [`Pipeline::run_formed`] returns when it lowers every
+//!   region itself.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
+use treegion_suite::eval::{
+    pressure_stats_cached, program_time_cached, EvalConfig, FormationCache, PressureStats, Suite,
+};
 use treegion_suite::prelude::*;
 use treegion_suite::workloads::generate_fuzz;
 
@@ -224,4 +231,79 @@ fn observer_stages_fire_once_per_region_in_dataflow_order() {
             .sum();
         assert_eq!(events.len(), 2 + per_region_events, "stray observer events");
     }
+}
+
+/// The finite-register time and pressure statistics of one module the
+/// way the harness computed them before it reused the cached front half:
+/// every function formed and driven through [`Pipeline::run_formed`]
+/// under one [`Profiler`].
+fn run_formed_reference(
+    module: &Module,
+    config: &EvalConfig,
+    machine: &MachineModel,
+) -> (f64, PressureStats) {
+    let p = Pipeline::with_options(
+        machine,
+        RobustOptions {
+            sched: config.sched_options(),
+            ..Default::default()
+        },
+    );
+    let prof = Profiler::new();
+    let time = module
+        .functions()
+        .iter()
+        .map(|f| {
+            let formed = p.form(f, &config.region, &NullObserver);
+            p.run_formed(&formed, &prof)
+                .expect("robust chain schedules every function")
+                .estimated_time()
+        })
+        .sum();
+    let ls = prof
+        .report()
+        .into_iter()
+        .find(|s| s.stage == Stage::ListSched)
+        .expect("profiler reports every stage");
+    let stats = PressureStats {
+        peak: ls.stats.pressure_peak,
+        parks: ls.stats.pressure_parks,
+        spills: ls.stats.spills,
+    };
+    (time, stats)
+}
+
+/// The harness's finite-register cells — `program_time_cached` and
+/// `pressure_stats_cached`, which drive the robust chain from the cached
+/// front half — equal the `run_formed` path bit for bit, over the
+/// reduced suite plus the pressure stressor, on symmetric and asymmetric
+/// machines, at both ablation file sizes, for basic blocks and treegions.
+#[test]
+fn cached_front_half_matches_run_formed_under_finite_registers() {
+    let mut modules = Suite::load_small(2).modules;
+    modules.push(generate(&BenchmarkSpec::pressure()));
+    let cache = FormationCache::new();
+    let mut spilled = false;
+    for base in [
+        MachineModel::model_1u(),
+        MachineModel::model_4u_asym(),
+        MachineModel::model_8u(),
+    ] {
+        for file in [64, 32] {
+            let machine = base.with_gpr_file(file);
+            for region in [RegionConfig::BasicBlock, RegionConfig::Treegion] {
+                let config = EvalConfig::new(region, Heuristic::GlobalWeight);
+                for m in &modules {
+                    let tag = format!("{} {region:?} on {machine}", m.name());
+                    let (time, stats) = run_formed_reference(m, &config, &machine);
+                    let cached = program_time_cached(m, &config, &machine, &cache);
+                    assert_eq!(cached.to_bits(), time.to_bits(), "{tag}: time");
+                    let cached = pressure_stats_cached(m, &config, &machine, &cache);
+                    assert_eq!(cached, stats, "{tag}: pressure statistics");
+                    spilled |= stats.spills > 0;
+                }
+            }
+        }
+    }
+    assert!(spilled, "no cell spilled: the spill rounds went untested");
 }
