@@ -23,7 +23,8 @@
 //! * `pressure_track`: ns per lowered op of list scheduling under a
 //!   finite (64-entry) GPR file via the robust chain — the liveness
 //!   bookkeeping, ceiling checks, and spill machinery in one number;
-//! * end-to-end evaluation-harness wall time (all tables and figures) in
+//! * end-to-end evaluation-harness wall time (the paper's ten table and
+//!   figure cells of `tgc eval`, without the five pressure cells) in
 //!   three configurations: memoization off at `jobs=1` (the pre-cache
 //!   behaviour), memoization on at `jobs=1`, and memoization on at the
 //!   machine's job count.
@@ -401,9 +402,9 @@ fn cache_shard_probe_kernel(reps: usize, iters: usize) -> f64 {
     best
 }
 
-/// Renders every table/figure the `all` binary prints; returns total
-/// rendered bytes (a cheap checksum that also defeats dead-code
-/// elimination).
+/// Renders the paper's ten table/figure cells (every `tgc eval` cell
+/// but the five pressure ones); returns total rendered bytes (a cheap
+/// checksum that also defeats dead-code elimination).
 fn run_harness(suite: &Suite) -> usize {
     let (m4, m8) = (MachineModel::model_4u(), MachineModel::model_8u());
     let mut bytes = 0usize;

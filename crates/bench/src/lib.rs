@@ -1,78 +1,16 @@
 //! # treegion-bench
 //!
-//! Benchmarks for the treegion reproduction, written against a small
-//! criterion-compatible harness (this workspace builds hermetically with no
-//! access to crates.io, so the harness lives in [`harness`] rather than in
-//! an external crate). The benches live in `benches/`:
-//!
-//! * `formation` — region formation throughput (treegion, SLR, superblock,
-//!   tail-duplicated treegion) over a generated benchmark.
-//! * `scheduling` — lowering + DDG + list scheduling per heuristic and
-//!   machine model.
-//! * `experiments` — the per-table/figure experiment pipelines (the same
-//!   computations the `treegion-eval` binaries print).
-//! * `ablations` — the design-choice ablations called out in DESIGN.md:
-//!   dominator parallelism on/off, PlayDoh same-cycle memory dependences,
-//!   and per-cycle branch limits.
-//!
-//! This library crate exports small helpers shared by those benches.
+//! The `bench_sched` binary (`src/bin/bench_sched.rs`) times the
+//! scheduling kernels through the [`treegion::Pipeline`] driver, the
+//! end-to-end evaluation harness, the serve daemon and the striped disk
+//! cache, writes `BENCH_sched.json`, and gates each kernel against the
+//! committed baseline (`--regress`). This library holds the binary's
+//! testable pieces: the benchmark module and the pure regression gate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod harness;
-pub use harness::{BatchSize, Bencher, BenchmarkGroup, Criterion};
-
-use treegion::{Heuristic, NullObserver, Pipeline, RegionSet, RobustOptions, ScheduleOptions};
-use treegion_ir::{Function, Module};
-use treegion_machine::MachineModel;
-
-/// Total estimated time of a formed function under one configuration —
-/// the core computation every experiment repeats. Drives the staged
-/// [`Pipeline`] (lower → DDG → list-sched) rather than wiring the
-/// kernels by hand.
-pub fn time_formed(
-    f: &Function,
-    regions: &RegionSet,
-    origin: Option<&[treegion_ir::BlockId]>,
-    machine: &MachineModel,
-    heuristic: Heuristic,
-    dompar: bool,
-) -> f64 {
-    time_formed_opts(
-        f,
-        regions,
-        origin,
-        machine,
-        &ScheduleOptions {
-            heuristic,
-            dominator_parallelism: dompar,
-            ..Default::default()
-        },
-    )
-}
-
-/// As [`time_formed`], with fully explicit [`ScheduleOptions`] (tie
-/// break, dominator parallelism — the ablation benches need both).
-pub fn time_formed_opts(
-    f: &Function,
-    regions: &RegionSet,
-    origin: Option<&[treegion_ir::BlockId]>,
-    machine: &MachineModel,
-    opts: &ScheduleOptions,
-) -> f64 {
-    Pipeline::with_options(
-        machine,
-        RobustOptions {
-            sched: *opts,
-            ..Default::default()
-        },
-    )
-    .schedule_set(f, regions, origin, &NullObserver)
-    .iter()
-    .map(|s| s.schedule.estimated_time(&s.lowered))
-    .sum()
-}
+use treegion_ir::Module;
 
 /// A small deterministic module for benchmarking (compress-like).
 pub fn bench_module() -> Module {

@@ -224,8 +224,10 @@ CONTAINMENT (schedule|run):
                      is contained and the fallback chain takes over
 
 EVAL:
-  crash-isolated harness over the paper's ten cells (table1 table2
-  fig6@4u fig6@8u fig8@4u fig8@8u table3 table4 fig13@4u fig13@8u);
+  crash-isolated harness over 15 cells: the paper's ten (table1 table2
+  fig6@4u fig6@8u fig8@4u fig8@8u table3 table4 fig13@4u fig13@8u) and
+  the register-pressure ablation (pressure@1u pressure@4u
+  pressure@4u-asym pressure@8u pressure-stats@4u);
   failed cells retry with exponential backoff, exhausted cells are
   quarantined (default testdata/quarantine), --checkpoint/--resume
   skip already-finished cells

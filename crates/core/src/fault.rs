@@ -478,6 +478,7 @@ mod tests {
                     &crate::Budgets::UNLIMITED,
                 )
                 .expect("corrupted graph still schedules")
+                .0
             } else {
                 schedule_region(&lr, &m, &opts)
             };
@@ -513,6 +514,7 @@ mod tests {
                     &crate::Budgets::UNLIMITED,
                 )
                 .unwrap()
+                .0
             } else {
                 schedule_region(&lr, &m, &opts)
             };

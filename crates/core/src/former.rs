@@ -4,7 +4,7 @@
 //! The paper's Fig. 2/3 flow begins with region formation, but the repo
 //! historically exposed five free functions with three different return
 //! shapes (`RegionSet`, `SuperblockResult`, `TailDupResult`). Every
-//! driver — eval harness, CLI, figure binaries — then re-implemented the
+//! driver — eval harness, CLI, examples — then re-implemented the
 //! same dispatch-and-normalise dance. This module collapses the trio into
 //! one [`FormOutcome`] and puts every former behind one trait so the
 //! [`crate::Pipeline`] driver (and anything else) can treat formation as a

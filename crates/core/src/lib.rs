@@ -51,7 +51,7 @@ pub use pipeline::{
 pub use region::{ExitEdge, Region, RegionId, RegionKind, RegionSet};
 pub use robust::{carve_bb, carve_slr, RegionOutcome, RobustOptions, RobustResult};
 pub use sched::{
-    last_sched_metrics, render_schedule, schedule_region, schedule_with_ddg, try_schedule_region,
+    render_schedule, schedule_region, schedule_with_ddg, try_schedule_region,
     try_schedule_with_ddg, SchedMetrics, Schedule, ScheduleOptions, TieBreak,
 };
 #[cfg(debug_assertions)]

@@ -4,8 +4,8 @@
 //!
 //! The paper's Fig. 2/3 flow is one pipeline, but the repo historically
 //! drove it from three divergent stacks (the eval crate's ad-hoc
-//! helpers, the robust chain, and the CLI) plus a dozen figure binaries
-//! that re-wired the stages by hand. [`Pipeline`] is the single driver
+//! helpers, the robust chain, and the CLI) plus examples that re-wired
+//! the stages by hand. [`Pipeline`] is the single driver
 //! they all share now: it owns the stage order, threads a
 //! [`PassObserver`] through every stage, and exposes both the
 //! *infallible* staged kernels (for caching drivers that want to reuse
@@ -27,7 +27,7 @@ use crate::lower::{lower_region, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::RegionSet;
 use crate::robust::{run_robust, RobustOptions, RobustResult, MAX_SPILL_ROUNDS};
-use crate::sched::{schedule_with_ddg, try_schedule_with_ddg, Schedule};
+use crate::sched::{schedule_checked, try_schedule_with_ddg, Schedule};
 use std::time::Instant;
 use treegion_analysis::{Cfg, Liveness};
 use treegion_ir::{BlockId, Function, Module};
@@ -269,25 +269,12 @@ impl<'m> Pipeline<'m> {
         );
         obs.stage_enter(Stage::ListSched, scope);
         let t = Instant::now();
-        let schedule = schedule_with_ddg(lr, &ddg, self.machine, &self.options.sched);
-        // The scheduler published its automaton counters for this run on
-        // this thread just before returning; fold them into the stage
-        // bracket so profilers see them.
-        let metrics = crate::sched::last_sched_metrics();
+        let (schedule, metrics) = schedule_checked(lr, &ddg, self.machine, &self.options.sched);
         obs.stage_exit(
             Stage::ListSched,
             scope,
             t.elapsed(),
-            StageStats {
-                regions: 1,
-                ops: lr.num_ops(),
-                edges: ddg.edges().len(),
-                hazard_hits: metrics.hazard_hits,
-                deferral_parks: metrics.deferral_parks,
-                pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                pressure_parks: metrics.pressure_parks,
-                ..StageStats::default()
-            },
+            metrics.stage_stats(lr, &ddg, 0),
         );
         schedule
     }
@@ -340,25 +327,15 @@ impl<'m> Pipeline<'m> {
                 &Budgets::UNLIMITED,
             );
             match result {
-                Ok(schedule) => {
+                Ok((schedule, metrics)) => {
                     #[cfg(debug_assertions)]
                     crate::verify_sched::verify_schedule(&lr, &ddg, self.machine, &schedule)
                         .expect("scheduler produced an invalid schedule");
-                    let metrics = crate::sched::last_sched_metrics();
                     obs.stage_exit(
                         Stage::ListSched,
                         scope,
                         t.elapsed(),
-                        StageStats {
-                            regions: 1,
-                            ops: lr.num_ops(),
-                            edges: ddg.edges().len(),
-                            hazard_hits: metrics.hazard_hits,
-                            deferral_parks: metrics.deferral_parks,
-                            pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                            pressure_parks: metrics.pressure_parks,
-                            spills: spills_inserted,
-                        },
+                        metrics.stage_stats(&lr, &ddg, spills_inserted),
                     );
                     return (lr, schedule);
                 }

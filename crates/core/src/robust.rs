@@ -462,23 +462,13 @@ fn attempt(
             _ => try_schedule_with_ddg(&lr, &true_ddg, m, &sched_opts, &opts.budgets),
         };
         match result {
-            Ok(s) => {
-                obs.stage_exit(Stage::ListSched, scope, t.elapsed(), {
-                    // Fold in the scheduler's automaton counters
-                    // (published on this thread just before the schedule
-                    // call returned).
-                    let metrics = crate::sched::last_sched_metrics();
-                    StageStats {
-                        regions: 1,
-                        ops: lr.num_ops(),
-                        edges: true_ddg.edges().len(),
-                        hazard_hits: metrics.hazard_hits,
-                        deferral_parks: metrics.deferral_parks,
-                        pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                        pressure_parks: metrics.pressure_parks,
-                        spills: spills_inserted,
-                    }
-                });
+            Ok((s, metrics)) => {
+                obs.stage_exit(
+                    Stage::ListSched,
+                    scope,
+                    t.elapsed(),
+                    metrics.stage_stats(&lr, &true_ddg, spills_inserted),
+                );
                 break (s, true_ddg);
             }
             Err(SchedFailure::RegisterPressure {

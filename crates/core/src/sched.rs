@@ -18,16 +18,18 @@ use crate::ddg::Ddg;
 use crate::error::{Budgets, SchedFailure};
 use crate::heuristic::Heuristic;
 use crate::lower::{LOpKind, LoweredRegion};
+use crate::observe::StageStats;
 use std::collections::HashMap;
 use treegion_ir::{Reg, RegClass};
 use treegion_machine::{MachineModel, OpClass};
 
 /// Resource-automaton and register-pressure counters of one scheduler
-/// run (see [`last_sched_metrics`]).
+/// run, returned with its schedule by [`try_schedule_with_ddg`]. The
+/// pipeline driver folds them into the list-scheduling stage's
+/// [`StageStats`], which is how `--profile` and `tgc serve stats` report
+/// them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedMetrics {
-    /// Interned states of the machine's hazard automaton.
-    pub automaton_states: usize,
     /// Structural-hazard probe rejections (`go` returned `None`) while
     /// popping ready ops.
     pub hazard_hits: u64,
@@ -44,26 +46,23 @@ pub struct SchedMetrics {
     pub pressure_parks: u64,
 }
 
-thread_local! {
-    static LAST_METRICS: std::cell::Cell<SchedMetrics> =
-        const { std::cell::Cell::new(SchedMetrics {
-            automaton_states: 0,
-            hazard_hits: 0,
-            deferral_parks: 0,
-            pressure_peak: [0; 3],
-            pressure_parks: 0,
-        }) };
-}
-
-/// Counters of the most recent successful schedule call *on this thread*.
-///
-/// The scheduler's hot loop owns these numbers; the pipeline driver reads
-/// them immediately after `schedule_with_ddg` returns (stage brackets run
-/// on the worker thread that did the scheduling) and forwards them
-/// through the [`crate::PassObserver`] stage stats, which is how
-/// `--profile` and `tgc serve stats` report them.
-pub fn last_sched_metrics() -> SchedMetrics {
-    LAST_METRICS.with(|c| c.get())
+impl SchedMetrics {
+    /// The list-scheduling stage's counters for one scheduled region:
+    /// its lowered ops, its DDG edges, these metrics (the pressure peak
+    /// of the fullest class), and the spill victims inserted before the
+    /// schedule succeeded.
+    pub(crate) fn stage_stats(&self, lr: &LoweredRegion, ddg: &Ddg, spills: u64) -> StageStats {
+        StageStats {
+            regions: 1,
+            ops: lr.num_ops(),
+            edges: ddg.edges().len(),
+            hazard_hits: self.hazard_hits,
+            deferral_parks: self.deferral_parks,
+            pressure_peak: self.pressure_peak.iter().copied().max().unwrap_or(0),
+            pressure_parks: self.pressure_parks,
+            spills,
+        }
+    }
 }
 
 /// How the list scheduler breaks ties between ops of equal heuristic
@@ -232,18 +231,33 @@ pub fn schedule_with_ddg(
     m: &MachineModel,
     opts: &ScheduleOptions,
 ) -> Schedule {
-    let sched = try_schedule_with_ddg(lr, ddg, m, opts, &Budgets::UNLIMITED)
+    schedule_checked(lr, ddg, m, opts).0
+}
+
+/// [`schedule_with_ddg`] with the run's [`SchedMetrics`].
+///
+/// # Panics
+///
+/// Panics if the scheduler cannot make progress (see [`schedule_region`]).
+pub(crate) fn schedule_checked(
+    lr: &LoweredRegion,
+    ddg: &Ddg,
+    m: &MachineModel,
+    opts: &ScheduleOptions,
+) -> (Schedule, SchedMetrics) {
+    let (sched, metrics) = try_schedule_with_ddg(lr, ddg, m, opts, &Budgets::UNLIMITED)
         .expect("scheduler failed to make progress (dependence cycle?)");
     // In debug builds, every schedule is independently re-verified —
     // scheduler bugs become loud test failures instead of wrong numbers.
     #[cfg(debug_assertions)]
     crate::verify_sched::verify_schedule(lr, ddg, m, &sched)
         .expect("scheduler produced an invalid schedule");
-    sched
+    (sched, metrics)
 }
 
 /// Fallible [`schedule_region`]: builds the DDG and schedules under the
-/// given resource [`Budgets`].
+/// given resource [`Budgets`], returning the schedule with the run's
+/// [`SchedMetrics`].
 ///
 /// # Errors
 ///
@@ -256,7 +270,7 @@ pub fn try_schedule_region(
     m: &MachineModel,
     opts: &ScheduleOptions,
     budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
+) -> Result<(Schedule, SchedMetrics), SchedFailure> {
     if let Some(cap) = budgets.max_region_ops {
         if lr.num_ops() > cap {
             return Err(SchedFailure::OpBudgetExceeded {
@@ -287,7 +301,7 @@ pub fn try_schedule_with_ddg(
     m: &MachineModel,
     opts: &ScheduleOptions,
     budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
+) -> Result<(Schedule, SchedMetrics), SchedFailure> {
     // Per-thread scratch: the transient tables below (heights, packed
     // keys, op state, the two heap backings, pass scratch) are sized by
     // the region and fully reinitialized per call, so reusing one
@@ -337,7 +351,7 @@ fn schedule_inner(
     m: &MachineModel,
     opts: &ScheduleOptions,
     budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
+) -> Result<(Schedule, SchedMetrics), SchedFailure> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -808,16 +822,15 @@ fn schedule_inner(
     // only capacity is lost, and the next call re-takes empty vecs).
     scratch.heap = heap.into_vec();
     scratch.future = future.into_vec();
-    LAST_METRICS.with(|c| {
-        c.set(SchedMetrics {
-            automaton_states: auto.state_count(),
+    Ok((
+        sched,
+        SchedMetrics {
             hazard_hits,
             deferral_parks,
             pressure_peak,
             pressure_parks,
-        })
-    });
-    Ok(sched)
+        },
+    ))
 }
 
 /// Adds `n` use occurrences of `r` to the per-class tables (growing the
@@ -1300,6 +1313,10 @@ mod tests {
         schedule_region(lr, m, &ScheduleOptions::default())
     }
 
+    fn sched_metrics(lr: &LoweredRegion, m: &MachineModel) -> (Schedule, SchedMetrics) {
+        schedule_checked(lr, &Ddg::build(lr, m), m, &ScheduleOptions::default())
+    }
+
     #[test]
     fn respects_issue_width() {
         // Eight independent movis on a 4-wide machine: 2 cycles + ret.
@@ -1584,8 +1601,7 @@ mod tests {
         b.ret(bb0, Some(z));
         let f = b.finish();
         let lr = lower_entry(&f, true);
-        let _ = sched(&lr, &MachineModel::model_4u());
-        let mm = last_sched_metrics();
+        let (_, mm) = sched_metrics(&lr, &MachineModel::model_4u());
         assert!(
             mm.pressure_peak[RegClass::Gpr.index()] >= 2,
             "{:?}",
@@ -1609,13 +1625,12 @@ mod tests {
         let f = b.finish();
         let lr = lower_entry(&f, true);
         let m = MachineModel::model_4u().with_gpr_file(1);
-        let s = sched(&lr, &m);
+        let (s, mm) = sched_metrics(&lr, &m);
         for c in &s.cycles {
             let defs: usize = c.iter().map(|&i| lr.lops[i].op.defs.len()).sum();
             assert!(defs <= 1, "cycle with {defs} defs under a 1-reg file");
         }
         assert_eq!(s.issued_ops(), lr.lops.len());
-        let mm = last_sched_metrics();
         assert!(mm.pressure_parks > 0);
         assert_eq!(mm.pressure_peak[RegClass::Gpr.index()], 1);
         // And a file with slack changes nothing: byte-identical cycles.
@@ -1663,8 +1678,7 @@ mod tests {
         b.ret(bb0, Some(x));
         let f = b.finish();
         let lr = lower_entry(&f, true);
-        let _ = sched(&lr, &MachineModel::model_4u());
-        let mm = last_sched_metrics();
+        let (_, mm) = sched_metrics(&lr, &MachineModel::model_4u());
         assert!(
             mm.pressure_peak[RegClass::Gpr.index()] >= 2,
             "live-in `a` plus loaded `x` must both be charged: {:?}",

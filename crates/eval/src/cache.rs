@@ -292,8 +292,7 @@ impl FormationCache {
 
     /// Attaches the durable result tier sharded over `shards` lock-striped
     /// files rooted at `path` (`<path>.<k>`), with a chaos handle threaded
-    /// into every shard's durable operations. A legacy single-file cache
-    /// at `path` itself is migrated into the shards on open.
+    /// into every shard's durable operations.
     ///
     /// # Errors
     ///

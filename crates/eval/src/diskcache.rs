@@ -287,8 +287,7 @@ impl DiskCache {
         }
     }
 
-    /// All live entries, sorted by key (used by the sharded store's
-    /// legacy-file migration).
+    /// All live entries, sorted by key.
     pub fn entries(&self) -> Vec<(u64, String)> {
         let inner = self.lock();
         let mut out: Vec<(u64, String)> = inner.map.iter().map(|(k, v)| (*k, v.clone())).collect();

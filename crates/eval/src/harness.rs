@@ -336,14 +336,12 @@ pub fn pressure_table(suite: &Suite, machine: &MachineModel) -> Table {
 }
 
 /// Renders one evaluation cell by canonical name (see
-/// [`crate::CELL_NAMES`]) — the single dispatch shared by every
-/// table/figure binary and the contained runner, so no binary wires up
-/// its own `EvalConfig`/machine matrix.
+/// [`crate::CELL_NAMES`]) — the single dispatch behind `tgc eval`, whose
+/// contained runner renders every cell through it.
 ///
 /// # Panics
 ///
-/// Panics on an unknown cell name (the runner validates names up front;
-/// the binaries pass literals).
+/// Panics on an unknown cell name (the runner validates names up front).
 pub fn render_cell(suite: &Suite, name: &str) -> String {
     let m4 = MachineModel::model_4u;
     let m8 = MachineModel::model_8u;
@@ -365,17 +363,6 @@ pub fn render_cell(suite: &Suite, name: &str) -> String {
         "pressure-stats@4u" => pressure_table(suite, &m4()).render(),
         other => panic!("unknown evaluation cell `{other}`"),
     }
-}
-
-/// Renders a figure at both standard machine models (4U then 8U),
-/// separated by a blank line — the shared body of the `fig6`, `fig8`,
-/// and `fig13` binaries.
-pub fn render_figure_pair(suite: &Suite, figure: &str) -> String {
-    format!(
-        "{}\n{}",
-        render_cell(suite, &format!("{figure}@4u")),
-        render_cell(suite, &format!("{figure}@8u"))
-    )
 }
 
 fn speedup_rows(

@@ -37,7 +37,7 @@ use crate::harness::{render_cell, Suite};
 use treegion::{ContainmentAction, ContainmentCause, ContainmentEvent, RetryPolicy};
 use treegion_par::TaskOutcome;
 
-/// The canonical harness cells, in paper order (the order `--bin all`
+/// The canonical harness cells, in paper order (the order `tgc eval`
 /// prints them). Checkpoint manifests and merged reports use this order.
 pub const CELL_NAMES: [&str; 15] = [
     "table1",
@@ -157,7 +157,7 @@ pub struct HarnessOptions {
     /// Where exhausted cells' replay files go (`None` = no quarantine
     /// files, failures are only reported).
     pub quarantine_dir: Option<PathBuf>,
-    /// Restrict the run to these cells (empty = all ten).
+    /// Restrict the run to these cells (empty = all 15).
     pub only: Vec<String>,
     /// Armed I/O chaos plan (`--chaos-seed`/`--chaos-plan`): journals
     /// and may perturb the run's durable writes (checkpoint cells, the

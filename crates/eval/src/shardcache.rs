@@ -26,13 +26,6 @@
 //! `key % shards` — a pure function of the key — so a warm restart with
 //! the same shard count replays byte-identically: the same entries land
 //! in the same files in the same order.
-//!
-//! ## Legacy migration
-//!
-//! Opening a sharded store at a `base` where a PR 6 single-file cache
-//! already exists migrates its surviving entries into the shards (in key
-//! order, durably, entry by entry) and then removes the legacy file, so
-//! upgrading a deployment keeps its warm set.
 
 use crate::diskcache::{DiskCache, DiskRecovery, DiskStats};
 use std::path::{Path, PathBuf};
@@ -57,10 +50,8 @@ pub fn shard_path(base: &Path, k: usize) -> PathBuf {
 
 impl ShardedDiskCache {
     /// Opens (or creates) `shards` shard files rooted at `base`, running
-    /// the PR 6 recovery scan on each and migrating a legacy single-file
-    /// cache at `base` itself if one exists. The returned
-    /// [`DiskRecovery`] aggregates all shards (counts summed, flags
-    /// OR-ed).
+    /// the PR 6 recovery scan on each. The returned [`DiskRecovery`]
+    /// aggregates all shards (counts summed, flags OR-ed).
     ///
     /// # Errors
     ///
@@ -81,20 +72,6 @@ impl ShardedDiskCache {
             base: base.to_path_buf(),
             shards: opened,
         };
-        // Migrate a pre-sharding cache file sitting at the base path.
-        if base.is_file() {
-            let (legacy, rec) = DiskCache::open_chaos(base, chaos)?;
-            total.replayed += rec.replayed;
-            total.dropped += rec.dropped;
-            total.torn_tail |= rec.torn_tail;
-            for (k, v) in legacy.entries() {
-                store.put(k, &v)?;
-            }
-            drop(legacy);
-            std::fs::remove_file(base)
-                .map_err(|e| format!("cannot remove migrated cache `{}`: {e}", base.display()))?;
-            total.compacted = true; // layout changed on disk
-        }
         Ok((store, total))
     }
 
@@ -234,34 +211,6 @@ mod tests {
         for k in 0..8u64 {
             assert_eq!(c2.get(k).as_deref(), Some("keep"), "key {k} lost");
         }
-        cleanup(&base);
-    }
-
-    #[test]
-    fn legacy_single_file_cache_is_migrated_into_shards() {
-        let base = tmpbase("migrate");
-        // A PR 6-era store at the base path itself.
-        let (legacy, _) = DiskCache::open(&base).unwrap();
-        for k in 0..10u64 {
-            legacy.put(k, &format!("old-{k}")).unwrap();
-        }
-        drop(legacy);
-
-        let (c, r) = ShardedDiskCache::open(&base, 4, None).unwrap();
-        assert!(
-            !base.exists(),
-            "legacy file must be removed after migration"
-        );
-        assert!(r.compacted, "migration must report a layout change");
-        assert_eq!(c.len(), 10);
-        for k in 0..10u64 {
-            assert_eq!(c.get(k).as_deref(), Some(format!("old-{k}").as_str()));
-        }
-        // And the migrated layout is stable across a reopen.
-        drop(c);
-        let (c2, r2) = ShardedDiskCache::open(&base, 4, None).unwrap();
-        assert!(!r2.compacted);
-        assert_eq!(c2.len(), 10);
         cleanup(&base);
     }
 

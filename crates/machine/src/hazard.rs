@@ -128,7 +128,7 @@ impl HazardAutomaton {
     ///
     /// Panics if the reachable state space exceeds the `u16` encoding
     /// (possible only for issue widths and unit counts far beyond any
-    /// machine the paper or the benches model).
+    /// machine the paper or the examples model).
     pub(crate) fn build(issue_width: usize, class_units: &[Option<usize>; OpClass::COUNT]) -> Self {
         // Canonical state: total slots in use, plus the used count of
         // every *limited* class. Unlimited classes contribute only to the

@@ -270,7 +270,8 @@ impl MachineModel {
     /// Maximum memory operations (loads/stores/calls) per cycle, or
     /// `None` for unlimited. The paper's machines have universal units;
     /// this knob models the memory-ported machines an implementation
-    /// would actually build, for the ablation benches.
+    /// would actually build, for the ablation sweeps of
+    /// `examples/custom_machine.rs`.
     pub fn mem_port_limit(&self) -> Option<usize> {
         self.class_units[OpClass::Mem.index()]
     }

@@ -49,8 +49,7 @@ const QUARANTINE_STRIPES: usize = 16;
 pub struct EngineConfig {
     /// Durable result-cache base path (`None` = in-memory only, no warm
     /// tier). The store is sharded into `cache_shards` files named
-    /// `<path>.<k>`; a legacy single-file cache at `path` itself is
-    /// migrated on open.
+    /// `<path>.<k>`.
     pub cache_path: Option<PathBuf>,
     /// Disk-cache shard count (0 = [`DEFAULT_CACHE_SHARDS`]).
     pub cache_shards: usize,

@@ -8,8 +8,8 @@
 //!   region statistics the paper reports (Tables 1/2/4) and the control
 //!   shapes it analyses per program;
 //! * [`shapes`] — hand-built CFGs for the paper's figures (1, 7, 9, 10),
-//!   used by the worked-example binaries and the heuristic-pathology
-//!   tests.
+//!   used by the examples (`worked_example`, `heuristic_showdown`,
+//!   `tail_duplication`) and the heuristic-pathology tests.
 //!
 //! ## Example
 //!

@@ -1,5 +1,5 @@
-//! Hand-built CFGs from the paper's figures, used by tests, examples, and
-//! the `shapes` report binary.
+//! Hand-built CFGs from the paper's figures, used by tests and examples
+//! (`worked_example`, `heuristic_showdown`, `tail_duplication`).
 
 use treegion_ir::{BlockId, Cond, Function, FunctionBuilder, Op};
 

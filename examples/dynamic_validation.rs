@@ -1,10 +1,12 @@
 //! Dynamic validation: execute every benchmark under every scheme on the
 //! VLIW simulator, checking semantic equivalence and reporting *measured*
 //! speedups for the executed input (the dynamic analogue of Figures 6/13).
-use treegion::{Heuristic, TailDupLimits};
-use treegion_eval::{f3, validate_dynamic, EvalConfig, RegionConfig, Table};
-use treegion_machine::MachineModel;
-use treegion_workloads::generate_suite;
+//!
+//! Run with: `cargo run --example dynamic_validation --release`
+
+use treegion_suite::eval::{f3, validate_dynamic, EvalConfig, Table};
+use treegion_suite::prelude::*;
+use treegion_suite::workloads::generate_suite;
 
 fn main() {
     let modules = generate_suite();

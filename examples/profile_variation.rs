@@ -1,8 +1,11 @@
 //! The paper's future-work experiment: profile-variation robustness of
 //! the four treegion heuristics (schedule with training profile, evaluate
 //! under a perturbed profile).
-use treegion_eval::{variation_table, Suite};
-use treegion_machine::MachineModel;
+//!
+//! Run with: `cargo run --example profile_variation --release`
+
+use treegion_suite::eval::{variation_table, Suite};
+use treegion_suite::prelude::*;
 
 fn main() {
     let suite = Suite::load();

@@ -1,18 +1,46 @@
 //! Tail duplication and dominator parallelism (Section 4, Figures 11/12):
-//! grow the Figure 1 CFG's treegions with tail duplication, then show the
+//! grow the Figure 1 CFG's treegions with tail duplication, list each
+//! region's blocks with the original every copy duplicates, then show the
 //! scheduler eliminating redundant duplicated ops.
 //!
 //! Run with: `cargo run --example tail_duplication`
 
 use treegion_suite::prelude::*;
 
+/// One region's blocks, each copy labelled with the block it duplicates
+/// (`bb9(copy of bb8)`).
+fn listing(r: &Region, origin: &[BlockId]) -> String {
+    let labels: Vec<String> = r
+        .blocks()
+        .iter()
+        .map(|b| {
+            let o = origin[b.index()];
+            if o == *b {
+                format!("{b}")
+            } else {
+                format!("{b}(copy of {o})")
+            }
+        })
+        .collect();
+    format!(
+        "region @ {}: [{}], {} paths",
+        r.root(),
+        labels.join(", "),
+        r.path_count()
+    )
+}
+
 fn main() {
-    let (f, _ids) = shapes::figure1();
+    let (f, ids) = shapes::figure1();
+    let plain = RegionConfig::Treegion.form(&f);
     println!(
         "before: {} blocks, {} treegions",
         f.num_blocks(),
-        form_treegions(&f).len()
+        plain.regions.len()
     );
+    for r in plain.regions.regions() {
+        println!("  {}", listing(r, &plain.origin));
+    }
 
     for limits in [
         TailDupLimits::expansion_2_0(),
@@ -30,18 +58,7 @@ fn main() {
             result.regions.len()
         );
         for r in result.regions.regions() {
-            let dups = r
-                .blocks()
-                .iter()
-                .filter(|b| result.origin[b.index()] != **b)
-                .count();
-            println!(
-                "  region @ {}: {} blocks ({} copies), {} paths",
-                r.root(),
-                r.num_blocks(),
-                dups,
-                r.path_count()
-            );
+            println!("  {}", listing(r, &result.origin));
         }
 
         // Schedule the top region with and without dominator parallelism.
@@ -74,6 +91,11 @@ fn main() {
             );
         }
     }
-    println!("\n(The duplicated `r6 = 0`-style ops from sibling paths merge when");
-    println!("speculated into their common dominator — the Figure 12 discussion.)");
+    println!(
+        "\n(paper: bb5 — our {} — is tail duplicated so both bb3 and bb4 keep\n\
+         private copies. The duplicated `r6 = 0`-style ops from sibling paths\n\
+         merge when speculated into their common dominator — the Figure 12\n\
+         discussion.)",
+        ids[4]
+    );
 }

@@ -9,7 +9,9 @@
 //! * tables produced through an enabled [`FormationCache`] equal the
 //!   tables produced with caching disabled, byte for byte;
 //! * the robust (degradation-chain) pipeline returns identical results
-//!   at any job count.
+//!   at any job count;
+//! * the list scheduler's hazard, deferral, pressure and spill counters
+//!   reach a [`Profiler`] with the same totals at any job count.
 //!
 //! `treegion_par::set_jobs` is process-global, so every test that touches
 //! it holds `JOBS_LOCK` (the default test harness runs tests on several
@@ -162,4 +164,50 @@ fn containment_and_checkpointing_do_not_perturb_results() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(plain, off, "containment must not change results");
     assert_eq!(off, on, "checkpointing must not change results");
+}
+
+/// The list scheduler's counters reach a [`Profiler`] through the robust
+/// chain unchanged at any job count: compress (`spec_suite()[0]`), every
+/// function formed into treegions and scheduled with global weight on
+/// the asymmetric 4-wide machine with a 16-entry GPR file — tight enough
+/// to park on structural hazards, park on register pressure and spill.
+/// These are the totals `tgc schedule --machine 4u-asym --reg-file 16
+/// --profile` reports for `tgc gen compress`.
+#[test]
+fn list_sched_counters_are_identical_at_any_job_count() {
+    let _g = jobs_lock();
+    let module = generate(&spec_suite()[0]);
+    let machine = MachineModel::model_4u_asym().with_gpr_file(16);
+    let run = || {
+        let pipeline = Pipeline::new(&machine);
+        let profiler = Profiler::new();
+        for f in module.functions() {
+            pipeline
+                .run_function(f, &RegionConfig::Treegion, &profiler)
+                .expect("compress schedules");
+        }
+        profiler
+            .report()
+            .into_iter()
+            .find(|p| p.stage == Stage::ListSched)
+            .expect("list-sched stage reported")
+    };
+    for jobs in [1, 2] {
+        let p = with_jobs(jobs, run);
+        assert_eq!(p.calls, 42, "jobs={jobs}");
+        assert_eq!(
+            p.stats,
+            StageStats {
+                regions: 42,
+                ops: 944,
+                edges: 1596,
+                hazard_hits: 107,
+                deferral_parks: 107,
+                pressure_peak: 16,
+                pressure_parks: 109,
+                spills: 3,
+            },
+            "jobs={jobs}"
+        );
+    }
 }
