@@ -1,6 +1,7 @@
 //! End-to-end drills against a real `tgc serve` child process: the
-//! kill-9 crash-recovery drill, client exit-code round-trips, and
-//! deterministic load shedding through the CLI.
+//! kill-9 crash-recovery drill, client exit-code round-trips,
+//! deterministic load shedding through the CLI, and serving under a
+//! small descriptor limit.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -25,9 +26,14 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// Spawns `tgc serve` on an ephemeral port and scrapes the bound
 /// address from the `listening on ADDR` stdout line.
 fn spawn_serve(extra: &[&str]) -> (Child, String) {
-    let mut child = tgc()
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args(extra)
+    let mut cmd = tgc();
+    cmd.args(["serve", "--addr", "127.0.0.1:0"]).args(extra);
+    spawn_listening(cmd)
+}
+
+/// Spawns a command that execs a daemon and scrapes its address.
+fn spawn_listening(mut cmd: Command) -> (Child, String) {
+    let mut child = cmd
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -68,6 +74,12 @@ fn submit(addr: &str, batch: &[ModuleRequest]) -> Vec<ResponseFrame> {
         results.push(frame);
     }
     results
+}
+
+fn ping(s: &mut TcpStream) -> String {
+    write_frame(s, &render_simple(Verb::Ping)).unwrap();
+    let reply = read_frame(s).unwrap().expect("server hung up");
+    parse_response(&reply).unwrap().kind
 }
 
 fn stats_body(addr: &str) -> String {
@@ -316,4 +328,41 @@ fn unbindable_address_is_serve_fatal() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(4), "{out:?}");
+}
+
+/// The daemon holds a descriptor only while a connection is open, and
+/// running out of them is overload, not a fatal error. Under
+/// `ulimit -n 64` it answers 500 sequential connections; then 100 held
+/// open at once exhaust the limit, and each waits for an earlier one to
+/// close. The overload is counted, and drain still exits 0.
+#[test]
+fn small_descriptor_limit_is_overload_not_death() {
+    let mut cmd = Command::new("sh");
+    cmd.args([
+        "-c",
+        "ulimit -n 64; exec \"$0\" serve --addr 127.0.0.1:0 --no-quarantine",
+        env!("CARGO_BIN_EXE_tgc"),
+    ]);
+    let (child, addr) = spawn_listening(cmd);
+    for i in 0..500 {
+        let mut s = TcpStream::connect(&addr).unwrap();
+        assert_eq!(ping(&mut s), "pong", "connection {i}");
+    }
+    let stats = stats_body(&addr);
+    assert!(stats.contains("accept-overload "), "{stats}");
+
+    let held: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    for (i, mut s) in held.into_iter().enumerate() {
+        assert_eq!(ping(&mut s), "pong", "held connection {i}");
+    }
+    let stats = stats_body(&addr);
+    let overloads: u64 = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("accept-overload "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no accept-overload in {stats}"));
+    assert!(overloads > 0, "{stats}");
+    shutdown(&addr, child);
 }

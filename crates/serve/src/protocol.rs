@@ -52,7 +52,10 @@ pub const MAGIC: &str = "tgc-serve v1";
 /// not make the server allocate unbounded memory.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single write. Split into a
+/// header write and a payload write, a sender with Nagle's algorithm on
+/// would hold the payload until the peer ACKs the header, which a
+/// delayed ACK postpones by tens of milliseconds.
 ///
 /// # Errors
 ///
@@ -62,9 +65,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), String> {
     if bytes.len() > MAX_FRAME as usize {
         return Err(format!("frame too large ({} bytes)", bytes.len()));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)
-        .and_then(|()| w.write_all(bytes))
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| format!("write: {e}"))
 }

@@ -1,15 +1,27 @@
 //! The TCP front end: accept loop, per-connection pipelined handlers,
 //! graceful drain.
 //!
-//! The accept loop is non-blocking with a short poll so the drain flag
-//! is observed promptly; each connection gets a blocking handler thread
+//! Nothing here sleeps or polls. The listener blocks in `accept`, and
+//! each accepted connection gets a detached blocking handler thread
 //! (connections are few — this is a build-farm service, not a web
-//! server). `shutdown` flips the drain flag: the loop stops accepting,
-//! waits for every admission slot to free (in-flight batches finish and
-//! their replies go out), force-closes idle connections to unblock
-//! their readers, joins every handler, and checkpoints the durable
-//! cache. Crash safety does **not** depend on the graceful path — every
-//! cache write is already fsynced — the checkpoint merely compacts.
+//! server). The handler's socket lives in one table of open connections
+//! that it leaves when it exits, panics included, so the daemon holds a
+//! descriptor and a thread only for connections that are still open.
+//! With 256 connections open, the loop waits for one to close before
+//! it accepts again. An `accept` that fails for want of descriptors
+//! (EMFILE/ENFILE) is counted as `accept-overload` and waits the same
+//! way, instead of ending the daemon.
+//!
+//! `shutdown` marks the table draining and connects once to the
+//! listener to wake the blocking `accept`, which drops that connection
+//! and stops. Drain then shuts the read side of every open socket. On
+//! Linux a reader still gets the frames already queued, then EOF, and
+//! the write side stays open, so every worker answers each batch its
+//! reader took. Once the table is empty (or after 60 s, so a wedged
+//! handler cannot hold the drain hostage) the durable cache is
+//! checkpointed. Crash safety does **not** depend on the graceful path
+//! — every cache write is already fsynced — the checkpoint merely
+//! compacts.
 //!
 //! ## The connection state machine
 //!
@@ -33,7 +45,7 @@
 //! connection's replies always arrive in submission order, while the
 //! enqueue itself is the natural backpressure (a sender more than
 //! `pipeline_depth` batches ahead blocks in TCP). Every frame write
-//! goes through one mutex-guarded socket clone, keeping frames atomic
+//! goes through one mutex around the socket, keeping frames atomic
 //! when a control reply interleaves with streamed results. The idle
 //! reaper only ticks while **no batch is in flight** — a silent client
 //! waiting on a slow batch is patient, not idle.
@@ -44,11 +56,27 @@ use crate::protocol::{
     parse_request, read_frame_event, render_response, write_frame, FrameEvent, Request, Verb,
 };
 use crate::stats::bump;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::ErrorKind::{ConnectionAborted, Interrupted};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use treegion_par::lock_tolerant as lock;
+
+/// Most connections served at once. Each open connection holds one
+/// descriptor, so the cap keeps the daemon well under the common 1024
+/// soft limit.
+const MAX_CONNECTIONS: usize = 256;
+
+/// How long drain waits for the open connections to finish before it
+/// checkpoints anyway.
+const DRAIN_BOUND: Duration = Duration::from_secs(60);
+
+/// `accept` errors meaning the process or the system is out of file
+/// descriptors (the same numbers on Linux and the BSDs).
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
 
 /// Server construction options.
 #[derive(Clone, Debug)]
@@ -101,13 +129,21 @@ struct Timeouts {
     pipeline_depth: usize,
 }
 
+/// What the accept loop shares with every handler thread.
+struct Shared {
+    engine: Arc<Engine>,
+    admission: Admission,
+    timeouts: Timeouts,
+    conns: Connections,
+    /// The listener's address, with an unspecified IP replaced by
+    /// loopback: where `shutdown` connects to wake the blocking `accept`.
+    wake: SocketAddr,
+}
+
 /// A bound (not yet running) server.
 pub struct Server {
     listener: TcpListener,
-    engine: Arc<Engine>,
-    admission: Admission,
-    drain: Arc<AtomicBool>,
-    timeouts: Timeouts,
+    shared: Arc<Shared>,
 }
 
 impl Server {
@@ -121,17 +157,28 @@ impl Server {
         let engine = Arc::new(Engine::open(&config.engine)?);
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
-        Ok(Server {
-            listener,
+        let mut wake = listener.local_addr().map_err(|e| e.to_string())?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let shared = Shared {
             engine,
             admission: Admission::new(config.queue_max.max(1), config.retry_after_ms),
-            drain: Arc::new(AtomicBool::new(false)),
             timeouts: Timeouts {
                 read_ms: config.read_timeout_ms.max(1),
                 write_ms: config.write_timeout_ms.max(1),
                 idle_ms: config.idle_timeout_ms,
                 pipeline_depth: config.pipeline_depth.max(1),
             },
+            conns: Connections::default(),
+            wake,
+        };
+        Ok(Server {
+            listener,
+            shared: Arc::new(shared),
         })
     }
 
@@ -147,89 +194,158 @@ impl Server {
     /// Shared handle to the engine (counters, stats, quarantine ledger)
     /// — stays valid after [`Server::run`] returns.
     pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// A handle that trips the drain from outside the protocol (tests,
-    /// embedders). The `shutdown` verb flips the same flag.
-    pub fn drain_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.drain)
+        Arc::clone(&self.shared.engine)
     }
 
     /// Runs until drained: accepts connections, serves requests, and on
-    /// `shutdown` finishes in-flight work, joins every handler, and
-    /// checkpoints the cache.
+    /// `shutdown` answers every batch already read, waits for every
+    /// handler to exit, and checkpoints the cache.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures and the final checkpoint error.
+    /// Propagates listener failures (other than running out of
+    /// descriptors while connections are open, which waits for one to
+    /// close) and the final checkpoint error.
     pub fn run(self) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
-        let handlers: Mutex<Vec<(std::thread::JoinHandle<()>, TcpStream)>> = Mutex::new(Vec::new());
-        while !self.drain.load(Ordering::Acquire) {
-            match self.listener.accept() {
+        let Server { listener, shared } = self;
+        let conns = &shared.conns;
+        while conns.wait_below(MAX_CONNECTIONS) {
+            let overload = match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let peer_copy = stream
-                        .try_clone()
-                        .map_err(|e| format!("clone stream: {e}"))?;
-                    let engine = Arc::clone(&self.engine);
-                    let admission = self.admission.clone();
-                    let drain = Arc::clone(&self.drain);
-                    let timeouts = self.timeouts;
-                    let handle = std::thread::spawn(move || {
-                        handle_connection(stream, &engine, &admission, &drain, timeouts);
-                    });
-                    lock(&handlers).push((handle, peer_copy));
+                    // `None` once draining: this is the wake-up
+                    // connection (or a late client), dropped unanswered.
+                    let Some(conn) = Conn::register(&shared, stream) else {
+                        break;
+                    };
+                    std::thread::Builder::new()
+                        .spawn(move || serve_connection(&conn))
+                        .err()
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // A signal, or a peer that reset before it was accepted.
+                Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted) => None,
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => Some(e),
                 Err(e) => return Err(format!("accept: {e}")),
+            };
+            // Out of descriptors or threads: only a handler that exits
+            // frees some, so wait for one — unless none is open.
+            if let Some(e) = overload {
+                bump(&shared.engine.stats.accept_overload);
+                let open = conns.open();
+                if open == 0 {
+                    return Err(format!("accept: {e}"));
+                }
+                if !conns.wait_below(open) {
+                    break;
+                }
             }
         }
-        // Drain: in-flight batches hold admission slots until their
-        // replies are rendered; wait for the slots to free (bounded so a
-        // wedged handler cannot hold the drain hostage), give the final
-        // reply writes a beat, then unblock idle readers and join.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while self.admission.inflight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        let mut handlers = lock(&handlers);
-        for (_, stream) in handlers.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for (handle, _) in handlers.drain(..) {
-            let _ = handle.join();
-        }
-        self.engine.checkpoint()
+        // Refuse new connections at once, including a wake-up still on
+        // its way, then let every open one finish.
+        drop(listener);
+        conns.drain(DRAIN_BOUND);
+        shared.engine.checkpoint()
     }
 }
 
-/// Serves one connection until EOF, a `close`, a dead socket, a timeout,
-/// or drain.
-fn handle_connection(
-    stream: TcpStream,
-    engine: &Engine,
-    admission: &Admission,
-    drain: &AtomicBool,
-    timeouts: Timeouts,
-) {
-    let mut stream = stream;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(timeouts.read_ms)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(timeouts.write_ms)));
-    serve_connection(&mut stream, engine, admission, drain, timeouts);
-    // The accept loop holds a clone of this socket (for the drain-time
-    // force-close), so merely dropping our handle would NOT send FIN —
-    // the peer would sit on a half-dead connection until the server
-    // drains. Shut the underlying socket down explicitly: a dropped,
-    // reaped, or stalled connection closes the moment its handler exits.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+/// The table of open connections and the drain flag, under one lock.
+/// Handlers leave it when they exit; the accept loop and drain wait on
+/// `changed` for that.
+#[derive(Default)]
+struct Connections {
+    table: Mutex<Table>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Table {
+    /// Each open connection's socket, shared with its handler so drain
+    /// can shut its read side.
+    open: HashMap<u64, Arc<TcpStream>>,
+    next_id: u64,
+    draining: bool,
+}
+
+impl Connections {
+    /// Connections open now.
+    fn open(&self) -> usize {
+        lock(&self.table).open.len()
+    }
+
+    /// Blocks until fewer than `cap` connections are open; `false` if
+    /// draining begins first.
+    fn wait_below(&self, cap: usize) -> bool {
+        let table = self
+            .changed
+            .wait_while(lock(&self.table), |t| !t.draining && t.open.len() >= cap)
+            .unwrap_or_else(PoisonError::into_inner);
+        !table.draining
+    }
+
+    /// Stops registration and ends any wait of the accept loop.
+    fn begin_drain(&self) {
+        lock(&self.table).draining = true;
+        self.changed.notify_all();
+    }
+
+    /// Shuts the read side of every open socket, then waits up to
+    /// `bound` for their handlers to leave. On Linux a reader still gets
+    /// the frames already queued, then EOF; the write side stays open
+    /// for the replies.
+    fn drain(&self, bound: Duration) {
+        let table = lock(&self.table);
+        for stream in table.open.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let _ = self
+            .changed
+            .wait_timeout_while(table, bound, |t| !t.open.is_empty());
+    }
+}
+
+/// A handler's entry in [`Connections`]. Dropping it — the handler
+/// returned or unwound — closes the socket, leaves the table and wakes
+/// its waiters.
+struct Conn {
+    shared: Arc<Shared>,
+    id: u64,
+    stream: Option<Arc<TcpStream>>,
+}
+
+impl Conn {
+    /// Registers an accepted socket; `None` once draining.
+    fn register(shared: &Arc<Shared>, stream: TcpStream) -> Option<Conn> {
+        let mut table = lock(&shared.conns.table);
+        if table.draining {
+            return None;
+        }
+        let id = table.next_id;
+        table.next_id += 1;
+        let stream = Arc::new(stream);
+        table.open.insert(id, Arc::clone(&stream));
+        Some(Conn {
+            shared: Arc::clone(shared),
+            id,
+            stream: Some(stream),
+        })
+    }
+
+    fn stream(&self) -> &TcpStream {
+        self.stream.as_deref().expect("set until drop")
+    }
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let conns = &self.shared.conns;
+        let mut table = lock(&conns.table);
+        table.open.remove(&self.id);
+        // Both references are gone, so this closes the socket — before
+        // any waiter sees the smaller table and retries an `accept` that
+        // needs the descriptor.
+        self.stream = None;
+        drop(table);
+        conns.changed.notify_all();
+    }
 }
 
 /// One enqueued compile batch: its sequence id, the parsed request, and
@@ -240,9 +356,10 @@ struct BatchJob {
     accepted: Instant,
 }
 
-/// The connection state machine (see the module docs): a reader loop on
-/// the calling thread plus a scoped worker thread draining the batch
-/// channel; returning ends the connection.
+/// Serves one connection until EOF, a `close`, a dead socket, a timeout,
+/// or drain: the connection state machine (see the module docs), a
+/// reader loop on the calling thread plus a scoped worker thread
+/// draining the batch channel.
 ///
 /// The socket read timeout is the poll tick: each expiry at a frame
 /// boundary burns `read_ms` of the connection's idle budget (the
@@ -250,22 +367,19 @@ struct BatchJob {
 /// means the peer started a frame and stalled — that connection is
 /// dropped immediately so a wedged sender cannot pin a handler thread
 /// forever.
-fn serve_connection(
-    stream: &mut TcpStream,
-    engine: &Engine,
-    admission: &Admission,
-    drain: &AtomicBool,
-    timeouts: Timeouts,
-) {
-    let Ok(wstream) = stream.try_clone() else {
-        return;
-    };
-    let writer = Mutex::new(wstream);
+fn serve_connection(conn: &Conn) {
+    let (stream, shared) = (conn.stream(), &*conn.shared);
+    let (engine, admission, timeouts) = (&*shared.engine, &shared.admission, shared.timeouts);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(timeouts.read_ms)));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(timeouts.write_ms)));
+    let mut reader = stream;
+    let writer = Mutex::new(stream);
     // Set by the worker when a reply write fails: the connection is
     // beyond saving, the reader gives up at its next tick.
     let dead = AtomicBool::new(false);
-    // Batches enqueued but not yet fully answered. The idle reaper and
-    // the drain path only act when this is zero.
+    // Batches enqueued but not yet fully answered. The idle reaper only
+    // acts when this is zero.
     let outstanding = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::sync_channel::<BatchJob>(timeouts.pipeline_depth);
@@ -296,18 +410,16 @@ fn serve_connection(
             if dead.load(Ordering::Acquire) {
                 break;
             }
-            let frame = match read_frame_event(&mut *stream) {
+            let frame = match read_frame_event(&mut reader) {
                 Ok(FrameEvent::Frame(f)) => {
                     idle_ms = 0;
                     f
                 }
-                Ok(FrameEvent::Eof) => break, // peer hung up cleanly
+                // The peer hung up cleanly, or drain shut our read side.
+                Ok(FrameEvent::Eof) => break,
                 Ok(FrameEvent::IdleTimeout) => {
                     if outstanding.load(Ordering::Acquire) > 0 {
                         continue; // waiting on results, not idle
-                    }
-                    if drain.load(Ordering::Acquire) {
-                        break; // draining: stop waiting on idle peers
                     }
                     idle_ms = idle_ms.saturating_add(timeouts.read_ms);
                     if timeouts.idle_ms > 0 && idle_ms >= timeouts.idle_ms {
@@ -354,7 +466,10 @@ fn serve_connection(
                     // still gets every reply.
                     finish(&mut tx, &mut worker);
                     let _ = write_locked(writer, &render_response("draining", &[], ""));
-                    drain.store(true, Ordering::Release);
+                    shared.conns.begin_drain();
+                    // Wake the blocking `accept`; it drops this
+                    // connection and stops.
+                    let _ = TcpStream::connect(shared.wake);
                     break;
                 }
                 Verb::Close => {
@@ -390,7 +505,7 @@ fn serve_connection(
 /// Writes one frame under the connection's writer lock, keeping frames
 /// atomic when the reader (control replies) and the worker (results)
 /// interleave.
-fn write_locked(writer: &Mutex<TcpStream>, payload: &str) -> Result<(), String> {
+fn write_locked(writer: &Mutex<&TcpStream>, payload: &str) -> Result<(), String> {
     write_frame(&mut *lock(writer), payload)
 }
 
@@ -399,7 +514,7 @@ fn write_locked(writer: &Mutex<TcpStream>, payload: &str) -> Result<(), String> 
 /// id, when present, is echoed on every frame so pipelined clients can
 /// demultiplex.
 fn serve_batch(
-    writer: &Mutex<TcpStream>,
+    writer: &Mutex<&TcpStream>,
     engine: &Engine,
     admission: &Admission,
     job: &BatchJob,
@@ -449,19 +564,18 @@ fn serve_batch(
         };
         write_locked(writer, &frame)?;
     }
-    let out = write_locked(
-        writer,
-        &render_response(
-            "batch-end",
-            &with_seq(vec![
-                ("modules", replies.len().to_string()),
-                ("ok", ok.to_string()),
-                ("errors", errors.to_string()),
-                ("shed", shed.to_string()),
-            ]),
-            "",
-        ),
+    let end = render_response(
+        "batch-end",
+        &with_seq(vec![
+            ("modules", replies.len().to_string()),
+            ("ok", ok.to_string()),
+            ("errors", errors.to_string()),
+            ("shed", shed.to_string()),
+        ]),
+        "",
     );
+    // Recorded before the frame leaves: a client that has read its
+    // `batch-end` and then asks for `stats` must see the batch counted.
     engine.stats.latency.record(job.accepted.elapsed());
-    out
+    write_locked(writer, &end)
 }

@@ -49,7 +49,11 @@ pub struct ServeStats {
     pub read_stalls: AtomicU64,
     /// Connections closed cleanly by the `close` verb.
     pub closes: AtomicU64,
-    /// Per-batch service latency (frame accepted → batch-end written).
+    /// `accept` calls that found the process out of descriptors or
+    /// threads; each waited for an open connection to close.
+    pub accept_overload: AtomicU64,
+    /// Per-batch service latency (frame accepted → `batch-end` frame
+    /// about to be written).
     pub latency: Histogram,
 }
 
@@ -141,6 +145,7 @@ impl ServeStats {
         kv("idle-reaped", g(&self.idle_reaped).to_string());
         kv("read-stalls", g(&self.read_stalls).to_string());
         kv("closes", g(&self.closes).to_string());
+        kv("accept-overload", g(&self.accept_overload).to_string());
         // The latency histogram renders unconditionally (zeros before the
         // first batch) so the key set is stable for dashboards and the CI
         // loadgen-smoke grep.
@@ -275,6 +280,7 @@ mod tests {
         assert!(text.contains("idle-reaped 0\n"), "{text}");
         assert!(text.contains("read-stalls 0\n"), "{text}");
         assert!(text.contains("closes 0\n"), "{text}");
+        assert!(text.contains("accept-overload 0\n"), "{text}");
         assert!(text.contains("latency-count 1\n"), "{text}");
         assert!(text.contains("latency-p50-us "), "{text}");
         assert!(text.contains("latency-p90-us "), "{text}");

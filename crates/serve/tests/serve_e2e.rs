@@ -4,6 +4,7 @@
 
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 use treegion_serve::{
     parse_response, read_frame, render_compile, render_compile_seq, render_simple, write_frame,
     BatchOptions, EngineConfig, LoadgenConfig, ModuleRequest, Poison, ResponseFrame, ResultStatus,
@@ -183,50 +184,112 @@ fn protocol_errors_do_not_kill_the_connection() {
     shutdown(&addr, handle);
 }
 
+/// A module big enough that a batch of a few takes the worker a while:
+/// one seeded program of the workloads' test size.
+fn tiny_program(seed: u64) -> ModuleRequest {
+    let spec = treegion_workloads::BenchmarkSpec::tiny(seed);
+    ModuleRequest {
+        text: treegion_ir::print_module(&treegion_workloads::generate(&spec)),
+        poison: Poison::default(),
+    }
+}
+
+/// The value of one `key value` line of a `stats` body.
+fn stat(body: &str, key: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
+}
+
+/// Drain answers every batch a reader has already taken, ends idle
+/// connections at once, and leaves a cache that reopens warm: A
+/// pipelines three batches, B stays idle, C asks for the shutdown.
 #[test]
 fn drain_finishes_inflight_work_and_compacts_the_cache() {
     let dir = tmpdir("drain");
-    let cache_path = dir.join("cache.tgc");
-    let (addr, handle) = start(ServerConfig {
+    let config = ServerConfig {
         engine: EngineConfig {
-            cache_path: Some(cache_path.clone()),
+            cache_path: Some(dir.join("cache.tgc")),
             quarantine_dir: None,
             default_deadline_ms: None,
             chaos: None,
             cache_shards: 0,
         },
         ..ServerConfig::default()
-    });
+    };
+    let (addr, handle) = start(config.clone());
+    let mut a = TcpStream::connect(&addr).unwrap();
+    let mut b = TcpStream::connect(&addr).unwrap();
+    let mut c = TcpStream::connect(&addr).unwrap();
+    // Every read below is bounded, so a drain that fails to wake a
+    // reader fails the test instead of hanging it.
+    for s in [&a, &b, &c] {
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    }
+    let opts = BatchOptions::default();
+    let batches: Vec<Vec<ModuleRequest>> = (0..3u64)
+        .map(|seq| (0..4).map(|i| tiny_program(seq * 4 + i)).collect())
+        .collect();
+    for (seq, batch) in (0u64..).zip(&batches) {
+        write_frame(&mut a, &render_compile_seq(&opts, Some(seq), batch)).unwrap();
+    }
+    // Shut down only once A's reader has taken all three frames: the
+    // `requests` counter counts each frame as a reader takes it, C's own
+    // `stats` requests included.
+    let mut asked = 0;
+    loop {
+        asked += 1;
+        let stats = roundtrip(&mut c, &render_simple(Verb::Stats));
+        if stat(&stats.body, "requests") >= 3 + asked {
+            break;
+        }
+        assert!(asked < 100_000, "A's batches never arrived");
+    }
+    assert_eq!(
+        roundtrip(&mut c, &render_simple(Verb::Shutdown)).kind,
+        "draining"
+    );
+    let mut cold = Vec::new();
+    for (seq, batch) in (0u64..).zip(&batches) {
+        let (results, end) = read_batch(&mut a, batch.len());
+        assert_eq!(end.key("seq"), Some(seq.to_string().as_str()));
+        assert!(
+            results.iter().all(|r| r.status == Some(ResultStatus::Ok)),
+            "{results:?}"
+        );
+        cold = results;
+    }
+    assert_eq!(read_frame(&mut b).unwrap(), None, "idle B must read EOF");
+    handle.join().unwrap().unwrap();
+    // The drained cache is sealed and replayable: a new server over it
+    // serves the last batch warm, byte for byte.
+    let (addr, handle) = start(config);
     let mut s = TcpStream::connect(&addr).unwrap();
-    let batch = vec![
-        module("d1", Poison::default()),
-        module("d2", Poison::default()),
-    ];
-    write_frame(&mut s, &render_compile(&BatchOptions::default(), &batch)).unwrap();
-    let (results, _) = read_batch(&mut s, 2);
-    assert!(results.iter().all(|r| r.status == Some(ResultStatus::Ok)));
-    shutdown(&addr, handle);
-    // The drained cache file is freshly sealed and replayable: a new
-    // server over it serves both modules warm.
-    let (addr, handle) = start(ServerConfig {
-        engine: EngineConfig {
-            cache_path: Some(cache_path),
-            quarantine_dir: None,
-            default_deadline_ms: None,
-            chaos: None,
-            cache_shards: 0,
-        },
-        ..ServerConfig::default()
-    });
-    let mut s = TcpStream::connect(&addr).unwrap();
-    write_frame(&mut s, &render_compile(&BatchOptions::default(), &batch)).unwrap();
-    let (results2, _) = read_batch(&mut s, 2);
-    for (a, b) in results.iter().zip(&results2) {
-        assert_eq!(b.key("cache"), Some("warm"));
-        assert_eq!(a.body, b.body, "restart must serve identical bytes");
+    write_frame(&mut s, &render_compile(&opts, &batches[2])).unwrap();
+    let (warm, _) = read_batch(&mut s, batches[2].len());
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(w.key("cache"), Some("warm"), "{w:?}");
+        assert_eq!(c.body, w.body, "restart must serve identical bytes");
     }
     shutdown(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every frame leaves in one write. A client that keeps Nagle's
+/// algorithm on (the default) would otherwise hold each request's
+/// payload until the server's delayed ACK of its header.
+#[test]
+fn keep_alive_pings_from_a_nagle_client_are_not_delayed() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut s = TcpStream::connect(&addr).unwrap();
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        assert_eq!(roundtrip(&mut s, &render_simple(Verb::Ping)).kind, "pong");
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(400), "20 pings took {took:?}");
+    shutdown(&addr, handle);
 }
 
 #[test]
