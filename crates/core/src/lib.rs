@@ -45,9 +45,7 @@ pub use lower::{
 pub use observe::{
     EventLog, NullObserver, PassObserver, Profiler, Stage, StageProfile, StageScope, StageStats,
 };
-pub use pipeline::{
-    form_and_lower, FunctionRun, LoweredFunction, ModuleRun, Pipeline, RegionSchedule,
-};
+pub use pipeline::{form_and_lower, FunctionRun, LoweredFunction, ModuleRun, Pipeline};
 pub use region::{ExitEdge, Region, RegionId, RegionKind, RegionSet};
 pub use robust::{carve_bb, carve_slr, RegionOutcome, RobustOptions, RobustResult};
 pub use sched::{

@@ -20,6 +20,7 @@
 
 use crate::error::{Budgets, SchedFailure};
 use crate::Region;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use treegion_analysis::Liveness;
 use treegion_ir::{BlockId, Cond, Function, Op, Opcode, Reg, RegClass, Terminator};
@@ -254,12 +255,12 @@ pub fn try_lower_region(
 /// the region's lowering — `lower` runs only if the source count fits —
 /// so a region lowered ahead of time is held to the same budget, in the
 /// same order, as one lowered on the spot.
-pub(crate) fn within_op_budget(
+pub(crate) fn within_op_budget<L: Borrow<LoweredRegion>>(
     f: &Function,
     region: &Region,
     budgets: &Budgets,
-    lower: impl FnOnce() -> LoweredRegion,
-) -> Result<LoweredRegion, SchedFailure> {
+    lower: impl FnOnce() -> L,
+) -> Result<L, SchedFailure> {
     if let Some(cap) = budgets.max_region_ops {
         let src = region.num_source_ops(f);
         if src > cap {
@@ -271,11 +272,9 @@ pub(crate) fn within_op_budget(
     }
     let lr = lower();
     if let Some(cap) = budgets.max_region_ops {
-        if lr.num_ops() > cap {
-            return Err(SchedFailure::OpBudgetExceeded {
-                ops: lr.num_ops(),
-                budget: cap,
-            });
+        let ops = lr.borrow().num_ops();
+        if ops > cap {
+            return Err(SchedFailure::OpBudgetExceeded { ops, budget: cap });
         }
     }
     Ok(lr)

@@ -2,32 +2,33 @@
 //! scheduling → verification → degradation, behind one instrumented
 //! entry point.
 //!
-//! The paper's Fig. 2/3 flow is one pipeline, but the repo historically
-//! drove it from three divergent stacks (the eval crate's ad-hoc
-//! helpers, the robust chain, and the CLI) plus examples that re-wired
-//! the stages by hand. [`Pipeline`] is the single driver
-//! they all share now: it owns the stage order, threads a
-//! [`PassObserver`] through every stage, and exposes both the
-//! *infallible* staged kernels (for caching drivers that want to reuse
-//! intermediate artifacts) and the *robust* verifier-gated chain (the
-//! Primary→SLR→BB policy of [`crate::RobustOptions`]).
+//! Every region is scheduled by one chain, the verifier-gated robust
+//! engine: lower, build the DDG, list-schedule (with spill rounds under
+//! a finite GPR file), verify, and degrade Primary→SLR→BB per
+//! [`RobustOptions`]. [`Pipeline`] owns the stage order and threads a
+//! [`PassObserver`] through every stage. Its entry points differ only in
+//! what they hand the chain and how a terminal failure surfaces:
 //!
-//! Byte-identity contract: every method composes exactly the kernels the
-//! legacy call sites used (`lower_region`, `Ddg::build`,
-//! `schedule_with_ddg`, the robust chain), fans out across
-//! `treegion_par` with order-preserving merges, and adds only observer
-//! bracketing — so outputs are bit-for-bit what the pre-pipeline stacks
-//! produced, at any job count.
+//! * [`Pipeline::run_set`] / [`Pipeline::run_formed`] /
+//!   [`Pipeline::run_function`] / [`Pipeline::run_module`] return the
+//!   [`PipelineError`];
+//! * [`Pipeline::run_lowered`] reuses a front half that
+//!   [`form_and_lower`] already built, for caching drivers that schedule
+//!   one formation under many heuristics and machines;
+//! * [`Pipeline::schedule_set`] / [`Pipeline::schedule_function`] force
+//!   strict verification with no fallback and panic with the error.
+//!
+//! Regions fan out across `treegion_par` and merge in region order, so
+//! outputs and the observer's event stream are identical at any job
+//! count.
 
-use crate::ddg::Ddg;
-use crate::error::{Budgets, SchedFailure};
-use crate::error::{DegradationEvent, PipelineError};
+use crate::error::{DegradationEvent, FallbackPolicy, PipelineError, VerifyMode};
 use crate::former::{FormOutcome, RegionFormer};
 use crate::lower::{lower_region, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::RegionSet;
-use crate::robust::{run_robust, RobustOptions, RobustResult, MAX_SPILL_ROUNDS};
-use crate::sched::{schedule_checked, try_schedule_with_ddg, Schedule};
+use crate::robust::{run_robust, RegionOutcome, RobustOptions, RobustResult};
+use std::sync::Arc;
 use std::time::Instant;
 use treegion_analysis::{Cfg, Liveness};
 use treegion_ir::{BlockId, Function, Module};
@@ -42,18 +43,9 @@ pub struct LoweredFunction {
     pub cfg: Cfg,
     /// Liveness over that CFG.
     pub live: Liveness,
-    /// One lowered region per region of the partition, in region order.
-    pub lowered: Vec<LoweredRegion>,
-}
-
-/// A scheduled region with its lowering — one element of the infallible
-/// staged path's output.
-#[derive(Clone, Debug)]
-pub struct RegionSchedule {
-    /// Lowered form.
-    pub lowered: LoweredRegion,
-    /// Its schedule.
-    pub schedule: Schedule,
+    /// One lowered region per region of the partition, in region order,
+    /// shared with the [`RegionOutcome`]s scheduled from it.
+    pub lowered: Vec<Arc<LoweredRegion>>,
 }
 
 /// The result of driving one function end to end through the robust
@@ -94,17 +86,43 @@ impl ModuleRun {
 
 /// Stages 1–2 without a machine: formation and lowering are
 /// machine-independent, so caching drivers (which share one formation
-/// across heuristics and machines) drive the front half directly.
-/// Observer-bracketed exactly as [`Pipeline::form`] / [`Pipeline::lower`]
-/// — this *is* the driver's front half, not a bypass.
+/// across heuristics and machines) build the front half once and hand it
+/// to [`Pipeline::run_lowered`]. Observer-bracketed like the chain's own
+/// stages; the per-region lowering fans out across the worker budget,
+/// results in region order.
 pub fn form_and_lower(
     f: &Function,
     former: &dyn RegionFormer,
     obs: &dyn PassObserver,
 ) -> (FormOutcome, LoweredFunction) {
     let formed = stage_form(f, former, obs);
-    let lowered = stage_lower_set(&formed.function, &formed.regions, Some(&formed.origin), obs);
-    (formed, lowered)
+    let g = &formed.function;
+    let cfg = Cfg::new(g);
+    let live = Liveness::new(g, &cfg);
+    let indexed: Vec<usize> = (0..formed.regions.len()).collect();
+    let lowered = treegion_par::par_map(&indexed, |&idx| {
+        let scope = StageScope {
+            function: g.name(),
+            region: Some(idx),
+        };
+        obs.stage_enter(Stage::Lowering, scope);
+        let t = Instant::now();
+        let region = &formed.regions.regions()[idx];
+        let lr = lower_region(g, region, &live, Some(&formed.origin));
+        obs.stage_exit(
+            Stage::Lowering,
+            scope,
+            t.elapsed(),
+            StageStats {
+                regions: 1,
+                ops: lr.num_ops(),
+                edges: 0,
+                ..StageStats::default()
+            },
+        );
+        Arc::new(lr)
+    });
+    (formed, LoweredFunction { cfg, live, lowered })
 }
 
 /// Stage 1 implementation shared by [`Pipeline::form`] and
@@ -129,53 +147,6 @@ fn stage_form(f: &Function, former: &dyn RegionFormer, obs: &dyn PassObserver) -
         },
     );
     out
-}
-
-/// Stage 2 implementation shared by [`Pipeline::lower_set`] and
-/// [`form_and_lower`]: fans the per-region lowering out across the
-/// worker budget; results in region order.
-fn stage_lower_set(
-    f: &Function,
-    set: &RegionSet,
-    origin: Option<&[BlockId]>,
-    obs: &dyn PassObserver,
-) -> LoweredFunction {
-    let cfg = Cfg::new(f);
-    let live = Liveness::new(f, &cfg);
-    let indexed: Vec<usize> = (0..set.len()).collect();
-    let lowered = treegion_par::par_map(&indexed, |&idx| {
-        stage_lower_one(f, set, &live, origin, idx, obs)
-    });
-    LoweredFunction { cfg, live, lowered }
-}
-
-fn stage_lower_one(
-    f: &Function,
-    set: &RegionSet,
-    live: &Liveness,
-    origin: Option<&[BlockId]>,
-    idx: usize,
-    obs: &dyn PassObserver,
-) -> LoweredRegion {
-    let scope = StageScope {
-        function: f.name(),
-        region: Some(idx),
-    };
-    obs.stage_enter(Stage::Lowering, scope);
-    let t = Instant::now();
-    let lr = lower_region(f, &set.regions()[idx], live, origin);
-    obs.stage_exit(
-        Stage::Lowering,
-        scope,
-        t.elapsed(),
-        StageStats {
-            regions: 1,
-            ops: lr.num_ops(),
-            edges: 0,
-            ..StageStats::default()
-        },
-    );
-    lr
 }
 
 /// The unified formation → schedule → verify driver.
@@ -214,8 +185,6 @@ impl<'m> Pipeline<'m> {
         &self.options
     }
 
-    // ---- Staged, infallible kernels ------------------------------------
-
     /// Stage 1 — region formation, observer-bracketed.
     pub fn form(
         &self,
@@ -226,194 +195,58 @@ impl<'m> Pipeline<'m> {
         stage_form(f, former, obs)
     }
 
-    /// Stage 2 — lowering every region of a formed function (fans out
-    /// across the worker budget; results in region order).
-    pub fn lower(&self, formed: &FormOutcome, obs: &dyn PassObserver) -> LoweredFunction {
-        self.lower_set(&formed.function, &formed.regions, Some(&formed.origin), obs)
-    }
-
-    /// Stage 2 over an explicit partition (`origin` as for
-    /// [`crate::lower_region`]; `None` means identity).
-    pub fn lower_set(
-        &self,
-        f: &Function,
-        set: &RegionSet,
-        origin: Option<&[BlockId]>,
-        obs: &dyn PassObserver,
-    ) -> LoweredFunction {
-        stage_lower_set(f, set, origin, obs)
-    }
-
-    /// Stages 3–4 — DDG construction and list scheduling of one lowered
-    /// region, observer-bracketed per stage. Byte-identical to the legacy
-    /// `schedule_region` kernel (which composes the same two stages).
-    pub fn schedule_lowered(
-        &self,
-        lr: &LoweredRegion,
-        scope: StageScope<'_>,
-        obs: &dyn PassObserver,
-    ) -> Schedule {
-        obs.stage_enter(Stage::DdgBuild, scope);
-        let t = Instant::now();
-        let ddg = Ddg::build(lr, self.machine);
-        obs.stage_exit(
-            Stage::DdgBuild,
-            scope,
-            t.elapsed(),
-            StageStats {
-                regions: 1,
-                ops: lr.num_ops(),
-                edges: ddg.edges().len(),
-                ..StageStats::default()
-            },
-        );
-        obs.stage_enter(Stage::ListSched, scope);
-        let t = Instant::now();
-        let (schedule, metrics) = schedule_checked(lr, &ddg, self.machine, &self.options.sched);
-        obs.stage_exit(
-            Stage::ListSched,
-            scope,
-            t.elapsed(),
-            metrics.stage_stats(lr, &ddg, 0),
-        );
-        schedule
-    }
-
-    /// Spill-aware stages 3–4: like [`Pipeline::schedule_lowered`], but
-    /// when the machine has a finite GPR file and the region livelocks on
-    /// register pressure, inserts spill code and reschedules — the same
-    /// escalating loop as the robust driver. Returns the (possibly
-    /// spill-rewritten) region with its schedule. Under unbounded
-    /// register files the loop body runs exactly once and the output is
-    /// byte-identical to [`Pipeline::schedule_lowered`].
+    /// [`Pipeline::run_set`] with no way out: fallback is forced to
+    /// [`FallbackPolicy::None`] and verification to [`VerifyMode::Strict`],
+    /// in every build, so each region comes back at its primary shape
+    /// with a verifier-accepted schedule (spill-rewritten first when a
+    /// finite GPR file livelocks). Results are in region order.
     ///
     /// # Panics
     ///
-    /// Like the rest of the infallible path, panics when the region
-    /// cannot be scheduled — here additionally when spilling cannot
-    /// relieve the pressure (non-GPR class, no spillable range left, or
-    /// [`MAX_SPILL_ROUNDS`] exhausted). Callers needing a structured
-    /// failure use the robust chain instead.
-    pub fn schedule_lowered_spilled(
-        &self,
-        mut lr: LoweredRegion,
-        scope: StageScope<'_>,
-        obs: &dyn PassObserver,
-    ) -> (LoweredRegion, Schedule) {
-        let mut spills_inserted: u64 = 0;
-        let mut rounds = 0usize;
-        loop {
-            obs.stage_enter(Stage::DdgBuild, scope);
-            let t = Instant::now();
-            let ddg = Ddg::build(&lr, self.machine);
-            obs.stage_exit(
-                Stage::DdgBuild,
-                scope,
-                t.elapsed(),
-                StageStats {
-                    regions: 1,
-                    ops: lr.num_ops(),
-                    edges: ddg.edges().len(),
-                    ..StageStats::default()
-                },
-            );
-            obs.stage_enter(Stage::ListSched, scope);
-            let t = Instant::now();
-            let result = try_schedule_with_ddg(
-                &lr,
-                &ddg,
-                self.machine,
-                &self.options.sched,
-                &Budgets::UNLIMITED,
-            );
-            match result {
-                Ok((schedule, metrics)) => {
-                    #[cfg(debug_assertions)]
-                    crate::verify_sched::verify_schedule(&lr, &ddg, self.machine, &schedule)
-                        .expect("scheduler produced an invalid schedule");
-                    obs.stage_exit(
-                        Stage::ListSched,
-                        scope,
-                        t.elapsed(),
-                        metrics.stage_stats(&lr, &ddg, spills_inserted),
-                    );
-                    return (lr, schedule);
-                }
-                Err(SchedFailure::RegisterPressure {
-                    class: rc,
-                    live: live_regs,
-                    cap,
-                }) if rc == treegion_ir::RegClass::Gpr && rounds < MAX_SPILL_ROUNDS => {
-                    // Same escalation as the robust chain: the parking
-                    // scheduler livelocks at `live <= cap`, so widen the
-                    // victim set with the round count.
-                    let excess = ((live_regs.saturating_sub(cap) as usize) + 1).max(rounds + 1);
-                    match crate::lower::insert_spills(&lr, excess) {
-                        Some((spilled, n)) => {
-                            lr = spilled;
-                            spills_inserted += n as u64;
-                            rounds += 1;
-                        }
-                        None => panic!(
-                            "register pressure unrecoverable by spilling: \
-                             {live_regs} live {rc} regs against a file of {cap}"
-                        ),
-                    }
-                }
-                Err(e) => panic!("scheduler failed to make progress: {e}"),
-            }
-        }
-    }
-
-    /// Stages 2–4 over an explicit partition: lowers and schedules every
-    /// region (no verification, no degradation — the infallible path the
-    /// analytic evaluator and the VLIW compiler use). Regions that
-    /// livelock on GPR pressure under a finite register file are
-    /// spill-rewritten and rescheduled via
-    /// [`Pipeline::schedule_lowered_spilled`]; with the default unbounded
-    /// files the output is byte-identical to the historical path. Fans
-    /// out across the worker budget; results in region order.
+    /// Panics with the [`PipelineError`], which names the function and
+    /// the region, when any region fails to schedule or to verify.
     pub fn schedule_set(
         &self,
         f: &Function,
         set: &RegionSet,
         origin: Option<&[BlockId]>,
         obs: &dyn PassObserver,
-    ) -> Vec<RegionSchedule> {
-        let cfg = Cfg::new(f);
-        let live = Liveness::new(f, &cfg);
-        let indexed: Vec<usize> = (0..set.len()).collect();
-        treegion_par::par_map(&indexed, |&idx| {
-            let lowered = stage_lower_one(f, set, &live, origin, idx, obs);
-            let scope = StageScope {
-                function: f.name(),
-                region: Some(idx),
-            };
-            let (lowered, schedule) = self.schedule_lowered_spilled(lowered, scope, obs);
-            RegionSchedule { lowered, schedule }
-        })
+    ) -> Vec<RegionOutcome> {
+        let strict = Pipeline::with_options(
+            self.machine,
+            RobustOptions {
+                verify: VerifyMode::Strict,
+                fallback: FallbackPolicy::None,
+                ..self.options.clone()
+            },
+        );
+        match strict.run_set(f, set, origin, obs) {
+            Ok(run) => run.outcomes,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// Stages 1–4 — forms, lowers, and schedules one function through the
-    /// infallible path.
+    /// Stages 1–5 — forms one function and schedules it through
+    /// [`Pipeline::schedule_set`].
+    ///
+    /// # Panics
+    ///
+    /// See [`Pipeline::schedule_set`].
     pub fn schedule_function(
         &self,
         f: &Function,
         former: &dyn RegionFormer,
         obs: &dyn PassObserver,
-    ) -> (FormOutcome, Vec<RegionSchedule>) {
+    ) -> (FormOutcome, Vec<RegionOutcome>) {
         let formed = self.form(f, former, obs);
-        let scheds =
+        let outcomes =
             self.schedule_set(&formed.function, &formed.regions, Some(&formed.origin), obs);
-        (formed, scheds)
+        (formed, outcomes)
     }
-
-    // ---- Robust (verifier-gated) driver --------------------------------
 
     /// Runs the robust chain over an explicit partition: every region is
     /// lowered, scheduled, and verified, degrading Primary→SLR→BB per the
-    /// configured [`crate::FallbackPolicy`]. The canonical successor of
-    /// the old free `schedule_function_robust` entry points.
+    /// configured [`FallbackPolicy`].
     ///
     /// # Errors
     ///
@@ -453,7 +286,7 @@ impl<'m> Pipeline<'m> {
     }
 
     /// [`Pipeline::run_formed`] from the front half [`form_and_lower`]
-    /// (or [`Pipeline::lower`]) already produced for `formed`: its
+    /// already produced for `formed`: its
     /// liveness and lowered regions are reused, so primary attempts go
     /// straight to the op-budget checks and scheduling. Outcomes and
     /// events are identical to [`Pipeline::run_formed`]; observers see

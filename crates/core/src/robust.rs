@@ -39,6 +39,7 @@ use crate::region::{Region, RegionKind, RegionSet};
 use crate::sched::{try_schedule_with_ddg, Schedule, ScheduleOptions};
 use crate::verify_sched::{verify_schedule, ScheduleError};
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 use treegion_analysis::Liveness;
 use treegion_ir::{BlockId, Function};
@@ -74,8 +75,10 @@ pub struct RegionOutcome {
     pub region_index: usize,
     /// The region actually scheduled (the original, or a carved piece).
     pub region: Region,
-    /// Its lowering.
-    pub lowered: LoweredRegion,
+    /// Its lowering: shared with the front half handed to
+    /// [`crate::Pipeline::run_lowered`] when the primary attempt kept that
+    /// lowering as is, so a cached region is never deep-copied.
+    pub lowered: Arc<LoweredRegion>,
     /// The accepted schedule.
     pub schedule: Schedule,
     /// Which rung of the ladder produced it.
@@ -154,7 +157,7 @@ pub(crate) fn run_robust(
     set: &RegionSet,
     origin_map: Option<&[BlockId]>,
     live: &Liveness,
-    lowered: Option<&[LoweredRegion]>,
+    lowered: Option<&[Arc<LoweredRegion>]>,
     m: &MachineModel,
     opts: &RobustOptions,
     obs: &dyn PassObserver,
@@ -228,7 +231,7 @@ pub(crate) fn run_robust(
 /// What one attempt produced: a schedule, plus a rejection that was
 /// tolerated under [`VerifyMode::Warn`].
 struct Attempt {
-    lowered: LoweredRegion,
+    lowered: Arc<LoweredRegion>,
     schedule: Schedule,
     tolerated: Option<ScheduleError>,
 }
@@ -247,7 +250,7 @@ fn schedule_one(
     idx: usize,
     region: &Region,
     live: &Liveness,
-    lowered: Option<&LoweredRegion>,
+    lowered: Option<&Arc<LoweredRegion>>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -350,7 +353,7 @@ fn attempt_contained(
     idx: usize,
     region: &Region,
     live: &Liveness,
-    lowered: Option<&LoweredRegion>,
+    lowered: Option<&Arc<LoweredRegion>>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -372,7 +375,7 @@ fn attempt_contained(
 /// round spills at least one victim, so pressure falls monotonically;
 /// the cap only bounds pathological regions where spilling cannot help
 /// (e.g. the overflow comes from one op's own definitions).
-pub(crate) const MAX_SPILL_ROUNDS: usize = 8;
+const MAX_SPILL_ROUNDS: usize = 8;
 
 /// Lowers, (optionally fault-injects,) schedules, and verifies one region.
 ///
@@ -381,7 +384,8 @@ pub(crate) const MAX_SPILL_ROUNDS: usize = 8;
 /// aborts mid-stage, and its partial time is not attributed). A region
 /// passed in already `lowered` skips the lowering stage and its hooks —
 /// only its op-budget checks run, exactly as [`try_lower_region`]
-/// applies them.
+/// applies them — and is shared, not copied, unless a spill round or a
+/// fault rewrites it.
 ///
 /// On machines with a finite register file a [`SchedFailure::
 /// RegisterPressure`] livelock in the GPR class is not (yet) fatal: the
@@ -396,7 +400,7 @@ fn attempt(
     idx: usize,
     region: &Region,
     live: &Liveness,
-    lowered: Option<&LoweredRegion>,
+    lowered: Option<&Arc<LoweredRegion>>,
     origin_map: Option<&[BlockId]>,
     m: &MachineModel,
     opts: &RobustOptions,
@@ -408,7 +412,7 @@ fn attempt(
         region: Some(idx),
     };
     let mut lr = match lowered {
-        Some(lr) => within_op_budget(f, region, &opts.budgets, || lr.clone())?,
+        Some(lr) => within_op_budget(f, region, &opts.budgets, || Arc::clone(lr))?,
         None => {
             obs.stage_enter(Stage::Lowering, scope);
             let t = Instant::now();
@@ -424,7 +428,7 @@ fn attempt(
                     ..StageStats::default()
                 },
             );
-            lr
+            Arc::new(lr)
         }
     };
 
@@ -496,7 +500,7 @@ fn attempt(
                                 });
                             }
                         }
-                        lr = spilled;
+                        lr = Arc::new(spilled);
                         spills_inserted += n as u64;
                         rounds += 1;
                     }
@@ -515,7 +519,7 @@ fn attempt(
     let mut sched = sched;
     if let (Some(inj), Some(c)) = (injector, class) {
         if !c.is_pre_schedule() {
-            inj.corrupt_post(c, &mut lr, m, &mut sched);
+            inj.corrupt_post(c, Arc::make_mut(&mut lr), m, &mut sched);
         }
     }
 
@@ -676,7 +680,7 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(r.outcomes.len(), set.len());
         assert!(r.region_set().is_partition_of(&f));
-        // Times agree with the infallible path.
+        // Times agree with the bare kernels.
         let cfg = Cfg::new(&f);
         let live = Liveness::new(&f, &cfg);
         let plain: f64 = set

@@ -219,8 +219,9 @@ pub fn schedule_region(lr: &LoweredRegion, m: &MachineModel, opts: &ScheduleOpti
     schedule_with_ddg(lr, &ddg, m, opts)
 }
 
-/// [`schedule_region`] with a pre-built DDG (lets callers reuse the graph
-/// across heuristics).
+/// [`schedule_region`] with a pre-built DDG: the bare kernel, for unit
+/// tests and the `sched_ref` differential oracle. The pipeline schedules
+/// through [`try_schedule_with_ddg`] and verifies every schedule itself.
 ///
 /// # Panics
 ///
@@ -231,28 +232,14 @@ pub fn schedule_with_ddg(
     m: &MachineModel,
     opts: &ScheduleOptions,
 ) -> Schedule {
-    schedule_checked(lr, ddg, m, opts).0
-}
-
-/// [`schedule_with_ddg`] with the run's [`SchedMetrics`].
-///
-/// # Panics
-///
-/// Panics if the scheduler cannot make progress (see [`schedule_region`]).
-pub(crate) fn schedule_checked(
-    lr: &LoweredRegion,
-    ddg: &Ddg,
-    m: &MachineModel,
-    opts: &ScheduleOptions,
-) -> (Schedule, SchedMetrics) {
-    let (sched, metrics) = try_schedule_with_ddg(lr, ddg, m, opts, &Budgets::UNLIMITED)
+    let (sched, _) = try_schedule_with_ddg(lr, ddg, m, opts, &Budgets::UNLIMITED)
         .expect("scheduler failed to make progress (dependence cycle?)");
     // In debug builds, every schedule is independently re-verified —
     // scheduler bugs become loud test failures instead of wrong numbers.
     #[cfg(debug_assertions)]
     crate::verify_sched::verify_schedule(lr, ddg, m, &sched)
         .expect("scheduler produced an invalid schedule");
-    (sched, metrics)
+    sched
 }
 
 /// Fallible [`schedule_region`]: builds the DDG and schedules under the
@@ -1314,7 +1301,11 @@ mod tests {
     }
 
     fn sched_metrics(lr: &LoweredRegion, m: &MachineModel) -> (Schedule, SchedMetrics) {
-        schedule_checked(lr, &Ddg::build(lr, m), m, &ScheduleOptions::default())
+        let ddg = Ddg::build(lr, m);
+        let opts = ScheduleOptions::default();
+        let (s, metrics) = try_schedule_with_ddg(lr, &ddg, m, &opts, &Budgets::UNLIMITED).unwrap();
+        crate::verify_sched::verify_schedule(lr, &ddg, m, &s).unwrap();
+        (s, metrics)
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   [`LoweredFunction`] the driver's machine-independent front half
 //!   ([`form_and_lower`]) builds over it: `Cfg`, `Liveness` (a dense
 //!   bit-vector fixpoint), and every region's lowering. Every scheduling
-//!   cell consumes this layer: unbounded machines schedule the lowered
-//!   regions directly, and finite register files drive the robust chain
-//!   from them through [`treegion::Pipeline::run_lowered`], whose primary
-//!   attempts start from the cached lowering (only carved fallback
-//!   pieces are lowered again).
+//!   cell consumes this layer: on every machine it drives the
+//!   verifier-gated chain through [`treegion::Pipeline::run_lowered`],
+//!   whose primary attempts start from the cached lowering (only carved
+//!   fallback pieces, possible on finite register files, are lowered
+//!   again).
 //! * [`FormationCache::time`] — `(module, config, heuristic, dompar,
 //!   machine)` → the scalar `program_time` of that cell (figures share
 //!   cells: fig6's treegion column is fig8's dep-height column).

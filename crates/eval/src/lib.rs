@@ -51,8 +51,7 @@ pub use harness::{
 };
 pub use pipeline::{
     baseline_time, baseline_time_cached, form_function, program_time, program_time_cached,
-    program_time_robust, schedule_function, speedup, speedup_with_baseline, RobustModuleReport,
-    ScheduledRegion,
+    program_time_robust, speedup, speedup_with_baseline, RobustModuleReport,
 };
 pub use records::{
     check as check_record, escape as escape_record, recover as recover_records,

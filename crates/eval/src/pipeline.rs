@@ -1,24 +1,21 @@
 //! The compile pipeline shared by every experiment — a thin veneer over
 //! the core [`treegion::Pipeline`] driver.
 //!
-//! Nothing here wires `form_* → lower_region → schedule_region` by hand
-//! any more: formation goes through [`treegion::RegionFormer`] (the
-//! [`RegionConfig`] enum implements it), and scheduling goes through
-//! [`treegion::Pipeline::schedule_set`] / [`treegion::Pipeline::run_module`].
-//! The evaluation-specific parts that remain are the cell memoization
-//! ([`FormationCache`]) and the analytic time/speedup aggregation.
+//! Formation goes through [`treegion::RegionFormer`] (the
+//! [`RegionConfig`] enum implements it), and every region is scheduled
+//! by the driver's verifier-gated chain: [`treegion::Pipeline::run_lowered`]
+//! on the [`FormationCache`]'s front half for the analytic cells, and
+//! [`treegion::Pipeline::run_module`] for [`program_time_robust`]. The
+//! evaluation-specific parts that remain are the cell memoization and the
+//! analytic time/speedup aggregation.
 
 use crate::{EvalConfig, FormationCache, RegionConfig};
 use treegion::{
-    EventLog, FormOutcome, Heuristic, Pipeline, PipelineError, RegionFormer, RobustOptions,
-    StageScope,
+    EventLog, FallbackPolicy, FormOutcome, Heuristic, Pipeline, PipelineError, RegionFormer,
+    RobustOptions,
 };
 use treegion_ir::{Function, Module};
 use treegion_machine::MachineModel;
-
-/// A scheduled region with its lowering (re-export of the driver's
-/// per-region product).
-pub use treegion::RegionSchedule as ScheduledRegion;
 
 /// A whole-module robust scheduling run: the analytic time plus every
 /// degradation the chain survived (re-export of the driver's aggregate).
@@ -30,32 +27,21 @@ pub fn form_function(f: &Function, config: &RegionConfig) -> FormOutcome {
     config.form(f)
 }
 
-/// Lowers and schedules every region of a formed function through the
-/// driver's infallible path.
-///
-/// Regions are independent, so the per-region work fans out across the
-/// `treegion_par` worker budget; results come back in region order, so
-/// output is byte-identical at any `--jobs` setting.
-pub fn schedule_function(
-    formed: &FormOutcome,
-    machine: &MachineModel,
-    heuristic: Heuristic,
-    dominator_parallelism: bool,
-) -> Vec<ScheduledRegion> {
-    let opts = RobustOptions {
-        sched: treegion::ScheduleOptions {
-            heuristic,
-            dominator_parallelism,
-            ..Default::default()
+/// The driver options of one analytic cell: `config`'s scheduler options,
+/// strict verification, and the fallback ladder only where a finite
+/// register file can leave a region no primary schedule. On unbounded
+/// files a region that fails at its primary shape is an error, not a
+/// silent re-carve that would change the number the cell reports.
+pub(crate) fn cell_options(config: &EvalConfig, machine: &MachineModel) -> RobustOptions {
+    RobustOptions {
+        sched: config.sched_options(),
+        fallback: if machine.has_finite_regs() {
+            FallbackPolicy::default()
+        } else {
+            FallbackPolicy::None
         },
         ..Default::default()
-    };
-    Pipeline::with_options(machine, opts).schedule_set(
-        &formed.function,
-        &formed.regions,
-        Some(&formed.origin),
-        &treegion::NullObserver,
-    )
+    }
 }
 
 /// [`program_time`] through the robust pipeline: drives every function
@@ -106,49 +92,19 @@ pub fn program_time_cached(
     cache: &FormationCache,
 ) -> f64 {
     cache.time(module, config, machine, || {
-        let formation = cache.formation(module, &config.region);
-        let p = Pipeline::with_options(
-            machine,
-            RobustOptions {
-                sched: config.sched_options(),
-                ..Default::default()
-            },
-        );
-        if machine.has_finite_regs() {
-            // Finite file: drive the robust chain from the cached front
-            // half, where pressure livelocks are recovered by spill
-            // insertion (whose cycles are part of the region's cost),
-            // irreducible overflows degrade down the SLR→BB ladder, and
-            // every accepted schedule is verifier-proven to fit the file.
-            return formation
-                .functions
-                .iter()
-                .map(|ff| {
-                    p.run_lowered(&ff.formed, &ff.front, &treegion::NullObserver)
-                        .unwrap_or_else(|e| {
-                            panic!("robust chain failed under finite registers: {e}")
-                        })
-                        .estimated_time()
-                })
-                .sum();
-        }
-        formation
+        // Every region runs the verifier-gated chain from the cached front
+        // half; under a finite file, pressure livelocks are recovered by
+        // spill insertion (whose cycles are part of the region's cost) and
+        // irreducible overflows degrade down the SLR→BB ladder.
+        let p = Pipeline::with_options(machine, cell_options(config, machine));
+        cache
+            .formation(module, &config.region)
             .functions
             .iter()
             .map(|ff| {
-                let name = ff.formed.function.name();
-                let indexed: Vec<usize> = (0..ff.front.lowered.len()).collect();
-                treegion_par::par_map(&indexed, |&i| {
-                    let lr = &ff.front.lowered[i];
-                    let scope = StageScope {
-                        function: name,
-                        region: Some(i),
-                    };
-                    p.schedule_lowered(lr, scope, &treegion::NullObserver)
-                        .estimated_time(lr)
-                })
-                .iter()
-                .sum::<f64>()
+                p.run_lowered(&ff.formed, &ff.front, &treegion::NullObserver)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .estimated_time()
             })
             .sum()
     })

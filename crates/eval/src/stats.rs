@@ -2,7 +2,7 @@
 //! live-range pressure statistics (the pressure ablation's columns).
 
 use crate::{EvalConfig, FormationCache, RegionConfig};
-use treegion::{Pipeline, Profiler, RobustOptions, Stage, StageScope};
+use treegion::{Pipeline, Profiler, Stage};
 use treegion_ir::Module;
 use treegion_machine::MachineModel;
 
@@ -81,43 +81,22 @@ pub struct PressureStats {
 
 /// Computes [`PressureStats`] by scheduling every region of `module`
 /// under `config` on `machine` with a [`Profiler`] attached and reading
-/// back the list scheduler's pressure counters. Finite register files go
-/// through the spill-recovering kernel, so the spill count reflects what
-/// the analytic time model actually charged for.
+/// back the list scheduler's pressure counters. Every region runs the
+/// verifier-gated chain from the cached front half, as
+/// [`crate::program_time_cached`] does, so under a finite file the
+/// counters cover every spill round and fallback attempt the analytic
+/// time model charged for.
 pub fn pressure_stats_cached(
     module: &Module,
     config: &EvalConfig,
     machine: &MachineModel,
     cache: &FormationCache,
 ) -> PressureStats {
-    let formation = cache.formation(module, &config.region);
     let prof = Profiler::new();
-    let p = Pipeline::with_options(
-        machine,
-        RobustOptions {
-            sched: config.sched_options(),
-            ..Default::default()
-        },
-    );
-    for ff in &formation.functions {
-        if machine.has_finite_regs() {
-            // The robust chain, driven from the cached front half,
-            // recovers pressure livelocks by spilling and degrades
-            // irreducible overflows — the counters cover every attempt
-            // the chain made.
-            let _ = p
-                .run_lowered(&ff.formed, &ff.front, &prof)
-                .unwrap_or_else(|e| panic!("robust chain failed under finite registers: {e}"));
-            continue;
-        }
-        let name = ff.formed.function.name();
-        for (i, lr) in ff.front.lowered.iter().enumerate() {
-            let scope = StageScope {
-                function: name,
-                region: Some(i),
-            };
-            let _ = p.schedule_lowered(lr, scope, &prof);
-        }
+    let p = Pipeline::with_options(machine, crate::pipeline::cell_options(config, machine));
+    for ff in &cache.formation(module, &config.region).functions {
+        p.run_lowered(&ff.formed, &ff.front, &prof)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
     let ls = prof
         .report()

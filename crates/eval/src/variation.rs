@@ -10,11 +10,10 @@
 //! a random one by `strength`) and re-propagates flow from the entry so
 //! the test profile is conservation-consistent.
 
+use crate::pipeline::cell_options;
 use crate::report::{f3, Table};
-use treegion::{
-    form_basic_blocks, form_treegions, Heuristic, NullObserver, Pipeline, RobustOptions,
-    ScheduleOptions, StageScope,
-};
+use crate::{EvalConfig, RegionConfig};
+use treegion::{form_and_lower, form_basic_blocks, Heuristic, NullObserver, Pipeline};
 use treegion_ir::{Function, Module, Terminator};
 use treegion_machine::MachineModel;
 use treegion_rng::StdRng;
@@ -127,40 +126,22 @@ pub fn variation_speedups(
     for f in module.functions() {
         let test = perturb_profile(f, seed ^ f.num_blocks() as u64, strength);
         // Baseline: basic blocks scheduled with the training profile on
-        // 1U, costed under the test profile (driver stages 2–4; results
-        // come back in region order).
+        // 1U, costed under the test profile (results come back in region
+        // order).
         for s in base_pipe.schedule_set(f, &form_basic_blocks(f), None, &NullObserver) {
             base_time += s.schedule.estimated_time_under(&s.lowered, &test);
         }
-        // Treegions under each heuristic: lower once through the driver,
-        // then schedule per heuristic. The loop is heuristic-outer /
-        // region-inner, but each per-heuristic sum still accumulates in
-        // region order, so the floats are bit-identical to the legacy
-        // region-outer wiring.
-        let regions = form_treegions(f);
-        let lowered = base_pipe
-            .lower_set(f, &regions, None, &NullObserver)
-            .lowered;
+        // Treegions under each heuristic: form and lower once, then run
+        // the chain per heuristic from that front half. Each
+        // per-heuristic sum accumulates in region order.
+        let (formed, front) = form_and_lower(f, &RegionConfig::Treegion, &NullObserver);
         for (k, h) in Heuristic::ALL.into_iter().enumerate() {
-            let p = Pipeline::with_options(
-                machine,
-                RobustOptions {
-                    sched: ScheduleOptions {
-                        heuristic: h,
-                        dominator_parallelism: false,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            );
-            for (i, lr) in lowered.iter().enumerate() {
-                let scope = StageScope {
-                    function: f.name(),
-                    region: Some(i),
-                };
-                scheme_time[k] += p
-                    .schedule_lowered(lr, scope, &NullObserver)
-                    .estimated_time_under(lr, &test);
+            let config = EvalConfig::new(RegionConfig::Treegion, h);
+            let run = Pipeline::with_options(machine, cell_options(&config, machine))
+                .run_lowered(&formed, &front, &NullObserver)
+                .unwrap_or_else(|e| panic!("{e}"));
+            for o in &run.outcomes {
+                scheme_time[k] += o.schedule.estimated_time_under(&o.lowered, &test);
             }
         }
     }
@@ -241,7 +222,7 @@ mod tests {
 
     #[test]
     fn recosting_under_training_profile_matches_estimated_time() {
-        use treegion::{form_treegions, lower_region, schedule_region};
+        use treegion::{form_treegions, lower_region, schedule_region, ScheduleOptions};
         use treegion_analysis::{Cfg, Liveness};
         let m = generate(&BenchmarkSpec::tiny(41));
         let f = &m.functions()[0];

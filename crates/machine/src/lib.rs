@@ -313,8 +313,20 @@ impl MachineModel {
 }
 
 impl fmt::Display for MachineModel {
+    /// `4U (4-issue universal)` when every class draws only on the issue
+    /// width, otherwise the capped classes in table order, as in
+    /// `4U-asym (4-issue; 2 mem, 1 branch, 1 fdiv)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({}-issue universal)", self.name, self.issue_width)
+        let capped: Vec<String> = OpClass::ALL
+            .into_iter()
+            .filter_map(|c| Some(format!("{} {}", self.class_units[c.index()]?, c.name())))
+            .collect();
+        let (name, width) = (&self.name, self.issue_width);
+        if capped.is_empty() {
+            write!(f, "{name} ({width}-issue universal)")
+        } else {
+            write!(f, "{name} ({width}-issue; {})", capped.join(", "))
+        }
     }
 }
 
@@ -526,6 +538,14 @@ mod tests {
         assert_eq!(
             MachineModel::model_4u().to_string(),
             "4U (4-issue universal)"
+        );
+        assert_eq!(
+            MachineModel::model_8u_r64().to_string(),
+            "8U+r64 (8-issue universal)"
+        );
+        assert_eq!(
+            MachineModel::model_4u_asym().to_string(),
+            "4U-asym (4-issue; 2 mem, 1 branch, 1 fdiv)"
         );
     }
 }

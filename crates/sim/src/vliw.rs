@@ -58,10 +58,16 @@ pub struct VliwResult {
 }
 
 impl<'f> VliwProgram<'f> {
-    /// Lowers and schedules every region of `f` under `m` and `opts`.
+    /// Lowers, schedules and verifies every region of `f` under `m` and
+    /// `opts` through [`Pipeline::schedule_set`].
     ///
     /// `origin_map` is the per-block origin map from tail duplication
     /// (pass `None` when the function was not transformed).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a region fails to schedule or to verify (see
+    /// [`Pipeline::schedule_set`]).
     pub fn compile(
         f: &'f Function,
         regions: &'f RegionSet,
@@ -69,9 +75,8 @@ impl<'f> VliwProgram<'f> {
         opts: &ScheduleOptions,
         origin_map: Option<&[BlockId]>,
     ) -> Self {
-        // Stages 2–4 of the core driver (infallible path): lowering, DDG
-        // construction, and list scheduling of every region, in region
-        // order.
+        // Stages 2–5 of the core driver: every region lowered, scheduled
+        // and verified, in region order (a region that fails panics).
         let pipeline = Pipeline::with_options(
             m,
             RobustOptions {
@@ -83,7 +88,7 @@ impl<'f> VliwProgram<'f> {
             .schedule_set(f, regions, origin_map, &NullObserver)
             .into_iter()
             .map(|s| CompiledRegion {
-                lowered: s.lowered,
+                lowered: std::sync::Arc::unwrap_or_clone(s.lowered),
                 schedule: s.schedule,
             })
             .collect();

@@ -66,7 +66,7 @@ pub mod prelude {
         form_basic_blocks, form_slrs, form_superblocks, form_treegions, form_treegions_td,
         lower_region, render_schedule, schedule_region, FormOutcome, Heuristic, LoweredRegion,
         NullObserver, PassObserver, Pipeline, Profiler, Region, RegionConfig, RegionFormer,
-        RegionKind, RegionSchedule, RegionSet, RobustOptions, Schedule, ScheduleOptions, Stage,
+        RegionKind, RegionOutcome, RegionSet, RobustOptions, Schedule, ScheduleOptions, Stage,
         StageScope, StageStats, TailDupLimits, TieBreak,
     };
     pub use treegion_analysis::{Cfg, DomTree, Liveness, Loops};

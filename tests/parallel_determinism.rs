@@ -18,9 +18,7 @@
 //! threads) and leaves the process in `jobs=1` afterwards.
 
 use std::sync::{Mutex, MutexGuard};
-use treegion_suite::eval::{
-    fig13, fig6, fig8, form_function, schedule_function, table1, table3, RegionConfig, Suite,
-};
+use treegion_suite::eval::{fig13, fig6, fig8, table1, table3, RegionConfig, Suite};
 use treegion_suite::prelude::*;
 use treegion_suite::treegion::RobustOptions;
 
@@ -42,6 +40,8 @@ fn with_jobs<R>(n: usize, body: impl FnOnce() -> R) -> R {
 /// configuration into a single string.
 fn render_module_schedules(module: &Module) -> String {
     let machine = MachineModel::model_4u();
+    // Default scheduler options: global weight, no dominator parallelism.
+    let pipeline = Pipeline::new(&machine);
     let mut out = String::new();
     for f in module.functions() {
         for config in [
@@ -49,8 +49,7 @@ fn render_module_schedules(module: &Module) -> String {
             RegionConfig::Treegion,
             RegionConfig::TreegionTd(TailDupLimits::expansion_2_0()),
         ] {
-            let formed = form_function(f, &config);
-            for s in schedule_function(&formed, &machine, Heuristic::GlobalWeight, false) {
+            for s in pipeline.schedule_function(f, &config, &NullObserver).1 {
                 out.push_str(&render_schedule(&s.lowered, &s.schedule, &machine));
                 out.push('\n');
             }

@@ -5,11 +5,12 @@
 //!   the synthetic benchmarks, and fuzz seeds;
 //! * the [`PassObserver`] hooks fire exactly once per stage per region,
 //!   as properly nested enter/exit brackets in dataflow order, with
-//!   monotonic timestamps within each region;
-//! * the eval harness's finite-register cells, which drive the robust
-//!   chain from the cached front half ([`Pipeline::run_lowered`]), return
-//!   exactly what [`Pipeline::run_formed`] returns when it lowers every
-//!   region itself.
+//!   monotonic timestamps within each region, on the robust and the
+//!   strict entry alike;
+//! * the eval harness's cells, which drive the robust chain from the
+//!   cached front half ([`Pipeline::run_lowered`]) on every machine,
+//!   return exactly what [`Pipeline::run_formed`] returns when it lowers
+//!   every region itself.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -162,7 +163,9 @@ impl PassObserver for Recorder {
 
 /// On a clean (fault-free, strict-verify) run every stage fires exactly
 /// once per region — Formation once per function — as properly nested
-/// enter/exit pairs in dataflow order with monotonic timestamps.
+/// enter/exit pairs in dataflow order with monotonic timestamps. That
+/// holds for the robust entry and for the strict `schedule_function`
+/// entry alike: both verify every region, in every build.
 #[test]
 fn observer_stages_fire_once_per_region_in_dataflow_order() {
     let machine = MachineModel::model_4u();
@@ -172,71 +175,78 @@ fn observer_stages_fire_once_per_region_in_dataflow_order() {
         let run = pipeline
             .run_function(&f, &RegionConfig::Treegion, &rec)
             .expect("clean run");
-        let regions = run.formed.regions.len();
-        let events = rec.events.into_inner().unwrap();
-
-        // Formation: exactly one enter/exit pair, region = None, and it
-        // completes before any per-region stage begins.
-        let formation: Vec<_> = events.iter().filter(|e| e.1 == Stage::Formation).collect();
-        assert_eq!(formation.len(), 2, "formation must bracket exactly once");
-        assert_eq!(
-            (
-                formation[0].0,
-                formation[0].2,
-                formation[1].0,
-                formation[1].2
-            ),
-            (Hook::Enter, None, Hook::Exit, None)
-        );
-        let formation_done = formation[1].3;
-        assert!(
-            events
-                .iter()
-                .filter(|e| e.1 != Stage::Formation)
-                .all(|e| e.3 >= formation_done),
-            "per-region stages must not start before formation exits"
-        );
-
-        // Per region: the four per-region stages, each exactly once, in
-        // dataflow order, enter before exit, timestamps monotone.
-        let per_region = [
-            Stage::Lowering,
-            Stage::DdgBuild,
-            Stage::ListSched,
-            Stage::Verify,
-        ];
-        for r in 0..regions {
-            let seq: Vec<_> = events.iter().filter(|e| e.2 == Some(r)).collect();
-            let expected: Vec<(Hook, Stage)> = per_region
-                .iter()
-                .flat_map(|&s| [(Hook::Enter, s), (Hook::Exit, s)])
-                .collect();
-            assert_eq!(
-                seq.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>(),
-                expected,
-                "region {r} of @{} fired out of order",
-                f.name()
-            );
-            for w in seq.windows(2) {
-                assert!(
-                    w[1].3 >= w[0].3,
-                    "region {r} of @{}: non-monotonic timestamps",
-                    f.name()
-                );
-            }
-        }
-        // Nothing else fired.
-        let per_region_events: usize = (0..regions)
-            .map(|r| events.iter().filter(|e| e.2 == Some(r)).count())
-            .sum();
-        assert_eq!(events.len(), 2 + per_region_events, "stray observer events");
+        assert_stage_protocol(&f, run.formed.regions.len(), rec);
+        let rec = Recorder::default();
+        let (formed, _) = pipeline.schedule_function(&f, &RegionConfig::Treegion, &rec);
+        assert_stage_protocol(&f, formed.regions.len(), rec);
     }
 }
 
-/// The finite-register time and pressure statistics of one module the
-/// way the harness computed them before it reused the cached front half:
-/// every function formed and driven through [`Pipeline::run_formed`]
-/// under one [`Profiler`].
+/// The bracket protocol of one function's run over `regions` regions.
+fn assert_stage_protocol(f: &Function, regions: usize, rec: Recorder) {
+    let events = rec.events.into_inner().unwrap();
+
+    // Formation: exactly one enter/exit pair, region = None, and it
+    // completes before any per-region stage begins.
+    let formation: Vec<_> = events.iter().filter(|e| e.1 == Stage::Formation).collect();
+    assert_eq!(formation.len(), 2, "formation must bracket exactly once");
+    assert_eq!(
+        (
+            formation[0].0,
+            formation[0].2,
+            formation[1].0,
+            formation[1].2
+        ),
+        (Hook::Enter, None, Hook::Exit, None)
+    );
+    let formation_done = formation[1].3;
+    assert!(
+        events
+            .iter()
+            .filter(|e| e.1 != Stage::Formation)
+            .all(|e| e.3 >= formation_done),
+        "per-region stages must not start before formation exits"
+    );
+
+    // Per region: the four per-region stages, each exactly once, in
+    // dataflow order, enter before exit, timestamps monotone.
+    let per_region = [
+        Stage::Lowering,
+        Stage::DdgBuild,
+        Stage::ListSched,
+        Stage::Verify,
+    ];
+    for r in 0..regions {
+        let seq: Vec<_> = events.iter().filter(|e| e.2 == Some(r)).collect();
+        let expected: Vec<(Hook, Stage)> = per_region
+            .iter()
+            .flat_map(|&s| [(Hook::Enter, s), (Hook::Exit, s)])
+            .collect();
+        assert_eq!(
+            seq.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>(),
+            expected,
+            "region {r} of @{} fired out of order",
+            f.name()
+        );
+        for w in seq.windows(2) {
+            assert!(
+                w[1].3 >= w[0].3,
+                "region {r} of @{}: non-monotonic timestamps",
+                f.name()
+            );
+        }
+    }
+    // Nothing else fired.
+    let per_region_events: usize = (0..regions)
+        .map(|r| events.iter().filter(|e| e.2 == Some(r)).count())
+        .sum();
+    assert_eq!(events.len(), 2 + per_region_events, "stray observer events");
+}
+
+/// The time and pressure statistics of one module the way the harness
+/// computed them before it reused the cached front half: every function
+/// formed and driven through [`Pipeline::run_formed`] under one
+/// [`Profiler`].
 fn run_formed_reference(
     module: &Module,
     config: &EvalConfig,
@@ -273,11 +283,12 @@ fn run_formed_reference(
     (time, stats)
 }
 
-/// The harness's finite-register cells — `program_time_cached` and
+/// The harness's cells — `program_time_cached` and
 /// `pressure_stats_cached`, which drive the robust chain from the cached
-/// front half — equal the `run_formed` path bit for bit, over the
-/// reduced suite plus the pressure stressor, on symmetric and asymmetric
-/// machines, at both ablation file sizes, for basic blocks and treegions.
+/// front half for every machine — equal the `run_formed` path bit for
+/// bit, over the reduced suite plus the pressure stressor, on symmetric
+/// and asymmetric machines, with unbounded files and at both ablation
+/// file sizes, for basic blocks and treegions.
 #[test]
 fn cached_front_half_matches_run_formed_under_finite_registers() {
     let mut modules = Suite::load_small(2).modules;
@@ -289,8 +300,7 @@ fn cached_front_half_matches_run_formed_under_finite_registers() {
         MachineModel::model_4u_asym(),
         MachineModel::model_8u(),
     ] {
-        for file in [64, 32] {
-            let machine = base.with_gpr_file(file);
+        for machine in [base.clone(), base.with_gpr_file(64), base.with_gpr_file(32)] {
             for region in [RegionConfig::BasicBlock, RegionConfig::Treegion] {
                 let config = EvalConfig::new(region, Heuristic::GlobalWeight);
                 for m in &modules {
