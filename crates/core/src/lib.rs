@@ -54,7 +54,7 @@ pub use sched::{
 };
 #[cfg(debug_assertions)]
 pub use sched_ref::schedule_with_ddg_reference;
-pub use verify_sched::{verify_schedule, ScheduleError, ScheduleErrorKind};
+pub use verify_sched::{verify_reg_files, verify_schedule, ScheduleError, ScheduleErrorKind};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -15,6 +15,9 @@
 //! * [`Pipeline::run_lowered`] reuses a front half that
 //!   [`form_and_lower`] already built, for caching drivers that schedule
 //!   one formation under many heuristics and machines;
+//! * [`Pipeline::run_lowered_files`] does that for one machine and its
+//!   register-file sweep at once, scheduling each region once: a capped
+//!   file re-runs the chain only on the regions it binds;
 //! * [`Pipeline::schedule_set`] / [`Pipeline::schedule_function`] force
 //!   strict verification with no fallback and panic with the error.
 //!
@@ -27,7 +30,7 @@ use crate::former::{FormOutcome, RegionFormer};
 use crate::lower::{lower_region, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::RegionSet;
-use crate::robust::{run_robust, RegionOutcome, RobustOptions, RobustResult};
+use crate::robust::{run_robust, run_robust_files, RegionOutcome, RobustOptions, RobustResult};
 use std::sync::Arc;
 use std::time::Instant;
 use treegion_analysis::{Cfg, Liveness};
@@ -314,6 +317,55 @@ impl<'m> Pipeline<'m> {
             Some(&lowered.lowered),
             self.machine,
             &self.options,
+            obs,
+        )
+    }
+
+    /// [`Pipeline::run_lowered`] on this pipeline's unbounded machine and
+    /// on each capped twin of a register-file sweep, scheduling each
+    /// region once for all of them: a twin keeps every outcome of the
+    /// unbounded run its files provably cannot change, and runs the
+    /// ordinary chain (spill rounds, SLR→BB ladder, verification) only on
+    /// the regions they bind. The rule is exact: the scheduler's
+    /// register-file ceiling can refuse an op only when `live + defs`
+    /// reaches a cap, so a region whose
+    /// [`crate::SchedMetrics::file_demand`] stays below every cap of the
+    /// twin schedules identically there, and its schedule is reused only
+    /// after [`crate::verify_reg_files`] accepts it on the twin's files.
+    ///
+    /// Returns one result per machine, this pipeline's first, then the
+    /// twins in order; each equals what [`Pipeline::run_lowered`] returns
+    /// on that machine with those options: outcomes, events and errors.
+    /// A twin is a pipeline on this machine with finite files (see
+    /// [`MachineModel::same_resources`]) and the same options but for
+    /// fallback and verification; a twin that is not, and every twin of
+    /// a finite machine or a fault campaign, runs the whole chain.
+    ///
+    /// Observers see only work that runs: this pipeline's stages for
+    /// every region, a twin's stages only for the regions it re-runs.
+    /// Degradation hooks fire at each result's merge, in result order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lowered` does not hold one region per region of
+    /// `formed`.
+    pub fn run_lowered_files(
+        &self,
+        formed: &FormOutcome,
+        lowered: &LoweredFunction,
+        twins: &[Pipeline<'_>],
+        obs: &dyn PassObserver,
+    ) -> Vec<Result<RobustResult, PipelineError>> {
+        let twins: Vec<(&MachineModel, &RobustOptions)> =
+            twins.iter().map(|p| (p.machine, &p.options)).collect();
+        run_robust_files(
+            &formed.function,
+            &formed.regions,
+            Some(&formed.origin),
+            &lowered.live,
+            &lowered.lowered,
+            (self.machine, &self.options),
+            &twins,
             obs,
         )
     }

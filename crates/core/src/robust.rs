@@ -36,13 +36,13 @@ use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::lower::{try_lower_region, within_op_budget, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::{Region, RegionKind, RegionSet};
-use crate::sched::{try_schedule_with_ddg, Schedule, ScheduleOptions};
-use crate::verify_sched::{verify_schedule, ScheduleError};
+use crate::sched::{try_schedule_with_ddg, SchedMetrics, Schedule, ScheduleOptions};
+use crate::verify_sched::{verify_reg_files, verify_schedule, ScheduleError};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use treegion_analysis::Liveness;
-use treegion_ir::{BlockId, Function};
+use treegion_ir::{BlockId, Function, RegClass};
 use treegion_machine::MachineModel;
 
 /// Configuration of the robust scheduling pipeline.
@@ -83,6 +83,10 @@ pub struct RegionOutcome {
     pub schedule: Schedule,
     /// Which rung of the ladder produced it.
     pub level: FallbackLevel,
+    /// The list scheduler's counters for the accepted schedule.
+    pub metrics: SchedMetrics,
+    /// Spill victims inserted before the accepted schedule succeeded.
+    pub spills: u64,
 }
 
 impl RegionOutcome {
@@ -165,16 +169,15 @@ pub(crate) fn run_robust(
     if let Some(lowered) = lowered {
         assert_eq!(lowered.len(), set.len(), "one lowered region per region");
     }
-    let primary = |idx: usize| lowered.map(|l| &l[idx]);
-    let mut result = RobustResult {
-        outcomes: Vec::new(),
-        events: Vec::new(),
-        kind: set.kind(),
-    };
     if opts.fault.is_some() {
         // Fault campaigns draw from one RNG stream *across* regions; the
         // stream's region order is part of the campaign's determinism
         // contract, so the faulted path stays strictly serial.
+        let mut result = RobustResult {
+            outcomes: Vec::new(),
+            events: Vec::new(),
+            kind: set.kind(),
+        };
         let mut injector = opts.fault.as_ref().map(FaultInjector::new);
         for (idx, region) in set.regions().iter().enumerate() {
             let run = schedule_one(
@@ -182,7 +185,7 @@ pub(crate) fn run_robust(
                 idx,
                 region,
                 live,
-                primary(idx),
+                lowered.map(|l| &l[idx]),
                 origin_map,
                 m,
                 opts,
@@ -197,26 +200,59 @@ pub(crate) fn run_robust(
         }
         return Ok(result);
     }
-    // Clean path: regions are independent, so fan out. Results are merged
-    // back in region order, which keeps outcomes/events byte-identical to
-    // the serial path at any job count; on error, the *first* failing
-    // region's error is returned, exactly as the serial loop would.
+    merge(
+        region_runs(f, set, origin_map, live, lowered, m, opts, obs),
+        set.kind(),
+        obs,
+    )
+}
+
+/// The clean path of [`run_robust`] before its merge: regions are
+/// independent, so they fan out, and each region's run comes back in
+/// region order.
+#[allow(clippy::too_many_arguments)]
+fn region_runs(
+    f: &Function,
+    set: &RegionSet,
+    origin_map: Option<&[BlockId]>,
+    live: &Liveness,
+    lowered: Option<&[Arc<LoweredRegion>]>,
+    m: &MachineModel,
+    opts: &RobustOptions,
+    obs: &dyn PassObserver,
+) -> Vec<Result<RegionRun, PipelineError>> {
     let regions = set.regions();
     let indexed: Vec<usize> = (0..regions.len()).collect();
-    let runs = treegion_par::par_map(&indexed, |&idx| {
+    treegion_par::par_map(&indexed, |&idx| {
         schedule_one(
             f,
             idx,
             &regions[idx],
             live,
-            primary(idx),
+            lowered.map(|l| &l[idx]),
             origin_map,
             m,
             opts,
             None,
             obs,
         )
-    });
+    })
+}
+
+/// Merges per-region runs in region order, which keeps outcomes and
+/// events byte-identical to the serial path at any job count. On error
+/// the *first* failing region's error is returned, exactly as the serial
+/// loop would; degradation hooks fire here, for the regions before it.
+fn merge(
+    runs: Vec<Result<RegionRun, PipelineError>>,
+    kind: RegionKind,
+    obs: &dyn PassObserver,
+) -> Result<RobustResult, PipelineError> {
+    let mut result = RobustResult {
+        outcomes: Vec::new(),
+        events: Vec::new(),
+        kind,
+    };
     for run in runs {
         let run = run?;
         result.outcomes.extend(run.outcomes);
@@ -228,20 +264,138 @@ pub(crate) fn run_robust(
     Ok(result)
 }
 
-/// What one attempt produced: a schedule, plus a rejection that was
-/// tolerated under [`VerifyMode::Warn`].
+/// The engine behind [`crate::Pipeline::run_lowered_files`]: the chain on
+/// `primary`'s unbounded machine, then on each capped twin in `twins`,
+/// reusing every primary outcome the twin's files provably cannot change.
+///
+/// A region's outcome is reused when the primary run accepted it clean
+/// (its primary shape, no events), its [`SchedMetrics::file_demand`]
+/// stays below every cap of the twin — the ceiling then never fires, so
+/// the twin's scheduler would make the same decisions — and
+/// [`verify_reg_files`] accepts the schedule on the twin's files (the
+/// verifier's other checks do not read the files, and they already
+/// accepted it). Every other region runs the ordinary chain on the twin.
+/// Reuse needs matching conditions: an unbounded primary machine without
+/// a fault plan, and twins that differ from it only in their register
+/// files and from its options only in fallback and verification (a twin
+/// verifies unless the primary did too). A twin that does not qualify
+/// runs the whole chain. Results come in `primary`, then `twins` order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_robust_files(
+    f: &Function,
+    set: &RegionSet,
+    origin_map: Option<&[BlockId]>,
+    live: &Liveness,
+    lowered: &[Arc<LoweredRegion>],
+    primary: (&MachineModel, &RobustOptions),
+    twins: &[(&MachineModel, &RobustOptions)],
+    obs: &dyn PassObserver,
+) -> Vec<Result<RobustResult, PipelineError>> {
+    let (m, opts) = primary;
+    assert_eq!(lowered.len(), set.len(), "one lowered region per region");
+    let run_all = |(m, opts): (&MachineModel, &RobustOptions)| {
+        run_robust(f, set, origin_map, live, Some(lowered), m, opts, obs)
+    };
+    if opts.fault.is_some() || m.has_finite_regs() {
+        return std::iter::once(primary)
+            .chain(twins.iter().copied())
+            .map(run_all)
+            .collect();
+    }
+    let runs = region_runs(f, set, origin_map, live, Some(lowered), m, opts, obs);
+    // Every (twin, region) pair, each either reused (`None`) or re-run on
+    // the twin; the checks and the re-runs fan out together.
+    let pairs: Vec<(usize, usize)> = (0..twins.len())
+        .flat_map(|t| (0..runs.len()).map(move |idx| (t, idx)))
+        .collect();
+    let qualifies: Vec<bool> = twins
+        .iter()
+        .map(|&(tm, to)| twin_of(m, opts, tm, to))
+        .collect();
+    let regions = set.regions();
+    let mut redone = treegion_par::par_map(&pairs, |&(t, idx)| {
+        let (tm, to) = twins[t];
+        let reused = qualifies[t] && matches!(&runs[idx], Ok(run) if run.fits(tm));
+        (!reused).then(|| {
+            schedule_one(
+                f,
+                idx,
+                &regions[idx],
+                live,
+                Some(&lowered[idx]),
+                origin_map,
+                tm,
+                to,
+                None,
+                obs,
+            )
+        })
+    })
+    .into_iter();
+    let twin_runs: Vec<Vec<Result<RegionRun, PipelineError>>> = (0..twins.len())
+        .map(|_| {
+            runs.iter()
+                .map(|run| match redone.next().expect("one entry per pair") {
+                    Some(own) => own,
+                    None => run.clone(),
+                })
+                .collect()
+        })
+        .collect();
+    std::iter::once(runs)
+        .chain(twin_runs)
+        .map(|runs| merge(runs, set.kind(), obs))
+        .collect()
+}
+
+/// Whether the capped machine `tm` under `to` may reuse outcomes of the
+/// unbounded machine `m` under `opts` (see [`run_robust_files`]).
+fn twin_of(m: &MachineModel, opts: &RobustOptions, tm: &MachineModel, to: &RobustOptions) -> bool {
+    tm.same_resources(m)
+        && to.fault.is_none()
+        && to.sched == opts.sched
+        && to.budgets == opts.budgets
+        && to.panic_on_region == opts.panic_on_region
+        && (opts.verify != VerifyMode::Off || to.verify == VerifyMode::Off)
+}
+
+/// What one attempt produced: a schedule with its scheduler counters and
+/// spill count, plus a rejection that was tolerated under
+/// [`VerifyMode::Warn`].
 struct Attempt {
     lowered: Arc<LoweredRegion>,
     schedule: Schedule,
+    metrics: SchedMetrics,
+    spills: u64,
     tolerated: Option<ScheduleError>,
 }
 
 /// Everything one region contributed: its accepted outcome(s) plus any
 /// degradation events. Returned (rather than pushed into shared state) so
 /// the clean path can schedule regions in parallel and merge in order.
+#[derive(Clone)]
 struct RegionRun {
     outcomes: Vec<RegionOutcome>,
     events: Vec<DegradationEvent>,
+}
+
+impl RegionRun {
+    /// Whether this run, made on an unbounded file, is exactly what the
+    /// chain would produce on the capped twin `tm`: a clean primary
+    /// outcome whose file demand stays below every cap of `tm` and whose
+    /// schedule fits `tm`'s files.
+    fn fits(&self, tm: &MachineModel) -> bool {
+        let [o] = self.outcomes.as_slice() else {
+            return false;
+        };
+        self.events.is_empty()
+            && o.level == FallbackLevel::Primary
+            && RegClass::ALL.into_iter().all(|c| {
+                tm.reg_cap(c)
+                    .is_none_or(|cap| o.metrics.file_demand[c.index()] < cap)
+            })
+            && verify_reg_files(&o.lowered, tm, &o.schedule).is_ok()
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -283,6 +437,8 @@ fn schedule_one(
                 lowered: att.lowered,
                 schedule: att.schedule,
                 level: FallbackLevel::Primary,
+                metrics: att.metrics,
+                spills: att.spills,
             });
             Ok(run)
         }
@@ -312,6 +468,8 @@ fn schedule_one(
                                 lowered: att.lowered,
                                 schedule: att.schedule,
                                 level,
+                                metrics: att.metrics,
+                                spills: att.spills,
                             });
                         }
                         return Ok(run);
@@ -436,7 +594,7 @@ fn attempt(
     let mut sched_opts = opts.sched;
     let mut spills_inserted: u64 = 0;
     let mut rounds = 0usize;
-    let (sched, true_ddg) = loop {
+    let (sched, metrics, true_ddg) = loop {
         obs.stage_enter(Stage::DdgBuild, scope);
         let t = Instant::now();
         let true_ddg = Ddg::build(&lr, m);
@@ -473,7 +631,7 @@ fn attempt(
                     t.elapsed(),
                     metrics.stage_stats(&lr, &true_ddg, spills_inserted),
                 );
-                break (s, true_ddg);
+                break (s, metrics, true_ddg);
             }
             Err(SchedFailure::RegisterPressure {
                 class: rc,
@@ -523,12 +681,15 @@ fn attempt(
         }
     }
 
+    let accept = |lowered, schedule, tolerated| Attempt {
+        lowered,
+        schedule,
+        metrics,
+        spills: spills_inserted,
+        tolerated,
+    };
     if opts.verify == VerifyMode::Off {
-        return Ok(Attempt {
-            lowered: lr,
-            schedule: sched,
-            tolerated: None,
-        });
+        return Ok(accept(lr, sched, None));
     }
     obs.stage_enter(Stage::Verify, scope);
     let t = Instant::now();
@@ -546,18 +707,10 @@ fn attempt(
     );
     match opts.verify {
         VerifyMode::Off => unreachable!("handled above"),
-        VerifyMode::Warn => Ok(Attempt {
-            lowered: lr,
-            schedule: sched,
-            tolerated: verdict.err(),
-        }),
+        VerifyMode::Warn => Ok(accept(lr, sched, verdict.err())),
         VerifyMode::Strict => {
             verdict?;
-            Ok(Attempt {
-                lowered: lr,
-                schedule: sched,
-                tolerated: None,
-            })
+            Ok(accept(lr, sched, None))
         }
     }
 }

@@ -44,6 +44,13 @@ pub struct SchedMetrics {
     /// a finite register file (counted once per park, like
     /// `deferral_parks`). Always zero on unbounded machines.
     pub pressure_parks: u64,
+    /// Register-file demand per class, indexed by [`RegClass::index`]:
+    /// the largest `live + defs of the class` any issued op presented to
+    /// the register-file ceiling, recorded on every machine. The ceiling
+    /// can refuse an op only when this sum reaches the class's cap, so a
+    /// run on an unbounded file whose demand stays below every cap of a
+    /// finite file made exactly the decisions the finite run would make.
+    pub file_demand: [u32; 3],
 }
 
 impl SchedMetrics {
@@ -419,6 +426,7 @@ fn schedule_inner(
     let mut live = [0u32; 3];
     let mut pressure_peak = [0u32; 3];
     let mut pressure_parks: u64 = 0;
+    let mut file_demand = [0u32; 3];
     let mut last_block: Option<(RegClass, u32, u32)> = None;
     for t in scratch.reg_uses.iter_mut() {
         t.clear();
@@ -692,7 +700,9 @@ fn schedule_inner(
                         continue;
                     }
                 }
-                // Issue.
+                // Issue: first record what the ceiling saw (it compares
+                // the same `live + defs` sums above, on finite files).
+                note_demand(&lr.lops[i].op, &live, &mut file_demand);
                 state = next_state;
                 sched.cycle_of[i] = Some(cycle);
                 issued_this_cycle.push(i);
@@ -816,6 +826,7 @@ fn schedule_inner(
             deferral_parks,
             pressure_peak,
             pressure_parks,
+            file_demand,
         },
     ))
 }
@@ -893,6 +904,20 @@ fn file_overflow(
         }
     }
     None
+}
+
+/// Raises `demand` to the `live + defs` sums [`file_overflow`] would
+/// compare with each class's cap when `op` issues. The ceiling's running
+/// count only grows over an op's defs, so its largest comparison per
+/// class is `live + all defs of that class`.
+#[inline]
+fn note_demand(op: &treegion_ir::Op, live: &[u32; 3], demand: &mut [u32; 3]) {
+    let mut need = [0u32; 3];
+    for &d in &op.defs {
+        let c = d.class().index();
+        need[c] += 1;
+        demand[c] = demand[c].max(live[c] + need[c]);
+    }
 }
 
 /// Dry-run of [`pressure_issue`]'s boundary kills: for each class, would
@@ -1628,6 +1653,37 @@ mod tests {
         let unbounded = sched(&lr, &MachineModel::model_4u());
         let slack = sched(&lr, &MachineModel::model_4u().with_gpr_file(64));
         assert_eq!(unbounded.cycles, slack.cycles);
+    }
+
+    #[test]
+    fn file_demand_bounds_where_a_finite_file_can_bind() {
+        // Four movis whose values only stores read: the largest
+        // `live + defs` meets the ceiling at a movi, which frees nothing.
+        let mut b = FunctionBuilder::new("fd");
+        let bb0 = b.block();
+        let x: Vec<Reg> = (0..4).map(|_| b.gpr()).collect();
+        for (k, &r) in x.iter().enumerate() {
+            b.push(bb0, Op::movi(r, k as i64));
+        }
+        b.push_all(bb0, [Op::store(x[0], x[1], 0), Op::store(x[2], x[3], 8)]);
+        b.ret(bb0, None);
+        let f = b.finish();
+        let lr = lower_entry(&f, true);
+        let m = MachineModel::model_4u();
+        let (unbounded, mu) = sched_metrics(&lr, &m);
+        let demand = mu.file_demand[RegClass::Gpr.index()];
+        assert!(demand >= 2, "{mu:?}");
+        // A file the demand stays below changes nothing: same schedule,
+        // same counters (the demand included).
+        for cap in demand + 1..demand + 3 {
+            let (s, mf) = sched_metrics(&lr, &m.with_gpr_file(cap));
+            assert_eq!(s.cycles, unbounded.cycles, "cap {cap}");
+            assert_eq!(mf, mu, "cap {cap}");
+        }
+        // A file the demand reaches binds: the movi that met it parks.
+        let (s, mf) = sched_metrics(&lr, &m.with_gpr_file(demand));
+        assert!(mf.pressure_parks > 0, "{mf:?}");
+        assert_ne!(s.cycles, unbounded.cycles);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::lower::{LOpKind, LoweredRegion};
 use crate::sched::Schedule;
 use std::error::Error;
 use std::fmt;
+use treegion_ir::{Reg, RegClass};
 use treegion_machine::{MachineModel, OpClass};
 
 /// The class of property a schedule violated. Fault-injection tests key on
@@ -256,83 +257,182 @@ pub fn verify_schedule(
         }
     }
 
-    // Register-file legality: replay every live range from scratch and
-    // charge it against the machine's finite files, trusting none of the
-    // scheduler's incremental pressure accounting. A value holds one
-    // register of its class from its def's issue cycle through the END of
-    // its last use's cycle (uses = operands, guards, and exit-copy
-    // sources read at the exit branch, all resolved through the
-    // elimination alias map); a live-in holds its register from cycle 0;
-    // a def nobody reads holds its register for its def cycle alone.
-    if m.has_finite_regs() {
-        use treegion_ir::Reg;
-        let mut def_cycle: std::collections::HashMap<Reg, u32> = std::collections::HashMap::new();
-        let mut last_use: std::collections::HashMap<Reg, u32> = std::collections::HashMap::new();
-        let touch = |tab: &mut std::collections::HashMap<Reg, u32>, r: Reg, c: u32| {
-            let e = tab.entry(sched.resolve(r)).or_insert(c);
-            *e = (*e).max(c);
-        };
+    verify_reg_files(lr, m, sched)
+}
+
+/// The register-file part of [`verify_schedule`]: replays every live
+/// range of `sched` from scratch and charges it against `m`'s finite
+/// files, trusting none of the scheduler's incremental pressure
+/// accounting. A value holds one register of its class from its def's
+/// issue cycle through the END of its last use's cycle (uses = operands,
+/// guards, and exit-copy sources read at the exit branch, all resolved
+/// through the elimination alias map); a live-in holds its register from
+/// cycle 0; a def nobody reads holds its register for its def cycle
+/// alone. Always `Ok` on unbounded files.
+///
+/// The replay is dense and linear in ops + registers + cycles: per
+/// register one def cycle and one last-use cycle, per capped class one
+/// difference array over the cycles. The pipeline also runs it alone, to
+/// check a schedule the rest of the verifier already accepted against a
+/// smaller file.
+///
+/// # Errors
+///
+/// [`ScheduleErrorKind::RegFileOverflow`] for the first cycle (then the
+/// first class) that keeps more live ranges than its file holds.
+pub fn verify_reg_files(
+    lr: &LoweredRegion,
+    m: &MachineModel,
+    sched: &Schedule,
+) -> Result<(), ScheduleError> {
+    if !m.has_finite_regs() {
+        return Ok(());
+    }
+    REPLAY.with(|cell| cell.borrow_mut().run(lr, m, sched))
+}
+
+thread_local! {
+    static REPLAY: std::cell::RefCell<Replay> = std::cell::RefCell::new(Replay::default());
+}
+
+/// Sentinel for "no cycle recorded" in [`Replay`]'s tables.
+const NO_CYCLE: u32 = u32::MAX;
+
+/// Per-thread tables of [`verify_reg_files`]. Registers are numbered
+/// function-wide, so a region touches a sparse subset of a large index
+/// range: `slot` maps a register's index to a dense per-call slot, and
+/// an entry is valid only while its stamp equals the call's `stamp`, so
+/// nothing is cleared between calls and each call costs only what it
+/// touches.
+#[derive(Default)]
+struct Replay {
+    stamp: u32,
+    /// Per class, indexed by register index: `(stamp, slot)`.
+    slot: [Vec<(u32, u32)>; 3],
+    /// Per slot: the register's class, def cycle and last-use cycle.
+    class: Vec<u8>,
+    def: Vec<u32>,
+    last_use: Vec<u32>,
+    /// Per cycle + 1: live-range starts minus ends, per class.
+    diff: Vec<[i64; 3]>,
+    skip: Vec<bool>,
+}
+
+impl Replay {
+    fn slot_of(&mut self, r: Reg) -> usize {
+        let c = r.class().index();
+        let i = r.index() as usize;
+        let tab = &mut self.slot[c];
+        if i >= tab.len() {
+            tab.resize(i + 1, (0, 0));
+        }
+        if tab[i].0 != self.stamp {
+            tab[i] = (self.stamp, self.class.len() as u32);
+            self.class.push(c as u8);
+            self.def.push(NO_CYCLE);
+            self.last_use.push(NO_CYCLE);
+        }
+        tab[i].1 as usize
+    }
+
+    fn touch(&mut self, sched: &Schedule, r: Reg, c: u32) {
+        let s = self.slot_of(sched.resolve(r));
+        let u = &mut self.last_use[s];
+        *u = if *u == NO_CYCLE { c } else { (*u).max(c) };
+    }
+
+    fn run(
+        &mut self,
+        lr: &LoweredRegion,
+        m: &MachineModel,
+        sched: &Schedule,
+    ) -> Result<(), ScheduleError> {
+        if self.stamp == u32::MAX {
+            for t in &mut self.slot {
+                t.clear();
+            }
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.class.clear();
+        self.def.clear();
+        self.last_use.clear();
+        self.skip.clear();
+        self.skip.resize(lr.lops.len(), false);
+        for &(e, _) in &sched.eliminated {
+            if let Some(s) = self.skip.get_mut(e) {
+                *s = true;
+            }
+        }
         for (i, l) in lr.lops.iter().enumerate() {
-            if eliminated.contains(&i) {
+            if self.skip[i] {
                 continue;
             }
-            let Some(c) = sched.cycle_of[i] else {
+            let Some(c) = sched.cycle_of.get(i).copied().flatten() else {
                 continue;
             };
             for &d in &l.op.defs {
-                def_cycle.insert(d, c);
+                let s = self.slot_of(d);
+                self.def[s] = c;
             }
             for &u in &l.op.uses {
-                touch(&mut last_use, u, c);
+                self.touch(sched, u, c);
             }
             if let Some(g) = l.guard {
-                touch(&mut last_use, g, c);
+                self.touch(sched, g, c);
             }
         }
         for (k, exit) in lr.exits.iter().enumerate() {
             let c = sched.exit_cycles[k];
             for &(_, src) in &exit.copies {
-                touch(&mut last_use, src, c);
+                self.touch(sched, src, c);
             }
         }
         let cycles = sched.cycles.len();
-        let mut live_at = vec![[0u32; 3]; cycles];
-        let mut charge = |r: Reg, start: u32, end: u32| {
-            let cls = r.class().index();
-            let last = (end as usize).min(cycles.saturating_sub(1));
-            for counts in live_at.iter_mut().take(last + 1).skip(start as usize) {
-                counts[cls] += 1;
-            }
-        };
-        for (&r, &d) in &def_cycle {
-            let end = last_use.get(&r).copied().unwrap_or(d).max(d);
-            charge(r, d, end);
+        if cycles == 0 {
+            return Ok(());
         }
-        for (&r, &u) in &last_use {
-            if !def_cycle.contains_key(&r) {
-                // Live-in: occupied from region entry.
-                charge(r, 0, u);
+        let caps = RegClass::ALL.map(|c| m.reg_cap(c));
+        self.diff.clear();
+        self.diff.resize(cycles + 1, [0; 3]);
+        for s in 0..self.class.len() {
+            let cls = self.class[s] as usize;
+            if caps[cls].is_none() {
+                continue;
+            }
+            let (d, u) = (self.def[s], self.last_use[s]);
+            let (start, end) = match (d, u) {
+                (NO_CYCLE, _) => (0, u), // a live-in: occupied from region entry
+                (_, NO_CYCLE) => (d, d),
+                _ => (d, u.max(d)),
+            };
+            let last = (end as usize).min(cycles - 1);
+            if (start as usize) <= last {
+                self.diff[start as usize][cls] += 1;
+                self.diff[last + 1][cls] -= 1;
             }
         }
-        for (c, counts) in live_at.iter().enumerate() {
-            for class in treegion_ir::RegClass::ALL {
-                let Some(cap) = m.reg_cap(class) else {
+        let mut live = [0i64; 3];
+        for (c, delta) in self.diff[..cycles].iter().enumerate() {
+            for class in RegClass::ALL {
+                let k = class.index();
+                live[k] += delta[k];
+                let Some(cap) = caps[k] else {
                     continue;
                 };
-                let used = counts[class.index()];
-                if used > cap {
+                if live[k] > i64::from(cap) {
                     return fail(
                         ScheduleErrorKind::RegFileOverflow,
                         format!(
-                            "cycle {c} keeps {used} {class} ranges live \
-                             (file holds {cap})"
+                            "cycle {c} keeps {} {class} ranges live (file holds {cap})",
+                            live[k]
                         ),
                     );
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -17,9 +17,18 @@
 //!   whose primary attempts start from the cached lowering (only carved
 //!   fallback pieces, possible on finite register files, are lowered
 //!   again).
-//! * [`FormationCache::time`] — `(module, config, heuristic, dompar,
-//!   machine)` → the scalar `program_time` of that cell (figures share
-//!   cells: fig6's treegion column is fig8's dep-height column).
+//! * [`FormationCache::cells`] — `(module, config, heuristic, dompar,
+//!   machine)` → the [`CellValue`] of that cell: its `program_time` and
+//!   its [`PressureStats`] (figures share cells: fig6's treegion column
+//!   is fig8's dep-height column, and `pressure-stats@4u` reads the
+//!   cells `pressure@4u` and fig8 filled). The machines of one request
+//!   are register-file twins of one machine, filled together from one
+//!   sweep ([`treegion::Pipeline::run_lowered_files`]). Each cell has
+//!   one `OnceLock` slot, and the cells of one (module, config,
+//!   unbounded machine) fill under one lock, so two parallel requests
+//!   never compute a cell twice — the 1U basic-block baseline included,
+//!   which every speedup cell reads here. Nothing is computed before a
+//!   cell asks: `Suite::load` schedules nothing.
 //!
 //! The handle is `Arc`-based: cloning a [`FormationCache`] shares the
 //! underlying store, so the `Suite` can hand one instance to every
@@ -49,6 +58,7 @@
 
 use crate::diskcache::{result_key, DiskRecovery};
 use crate::shardcache::ShardedDiskCache;
+use crate::stats::PressureStats;
 use crate::{EvalConfig, RegionConfig};
 use std::collections::HashMap;
 use std::path::Path;
@@ -111,7 +121,7 @@ impl ConfigKey {
     }
 }
 
-/// Machine identity for the DDG/time caches: the `Debug` rendering covers
+/// Machine identity for the cell layer: the `Debug` rendering covers
 /// every field of [`MachineModel`], so two machines with the same key are
 /// behaviourally identical.
 fn machine_key(m: &MachineModel) -> String {
@@ -178,25 +188,44 @@ pub struct LayerStats {
 pub struct CacheStats {
     /// Formation/liveness/lowering layer.
     pub formation: LayerStats,
-    /// Per-cell `program_time` layer.
+    /// Per-cell time and pressure-statistics layer (one hit or miss per
+    /// requested cell).
     pub time: LayerStats,
     /// Durable rendered-result layer (zeros when no disk tier is
     /// attached — see [`FormationCache::attach_disk`]).
     pub disk: LayerStats,
 }
 
-/// Key of the scalar `program_time` layer: module and region-formation
-/// identity plus heuristic, dominator-parallelism flag, and a machine
-/// fingerprint (its `Debug` rendering).
-type TimeKey = (ModuleKey, ConfigKey, Heuristic, bool, String);
+/// What the cell layer stores for one `(module, config, machine)`: the
+/// module's estimated time (Σ count × height over every accepted
+/// schedule) and the pressure statistics of the same schedules.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct CellValue {
+    /// The module's estimated execution time.
+    pub time: f64,
+    /// Its live-range pressure and spill statistics.
+    pub stats: PressureStats,
+}
+
+/// Key of the cell layer: module and region-formation identity plus
+/// heuristic, dominator-parallelism flag, and a machine fingerprint (its
+/// `Debug` rendering). With the fingerprint of the machine's unbounded
+/// twin it keys a cell's fill group.
+type CellKey = (ModuleKey, ConfigKey, Heuristic, bool, String);
 
 /// A formation-layer entry, filled by the first caller for its key.
 type FormationSlot = Arc<OnceLock<Arc<ModuleFormation>>>;
 
+/// A cell-layer entry, set once by the caller that computed it.
+type CellSlot = Arc<OnceLock<CellValue>>;
+
 struct Inner {
     enabled: bool,
     formations: Mutex<HashMap<(ModuleKey, ConfigKey), FormationSlot>>,
-    times: Mutex<HashMap<TimeKey, f64>>,
+    cells: Mutex<HashMap<CellKey, CellSlot>>,
+    /// One lock per fill group (the cells of one module, configuration
+    /// and unbounded machine), held while its missing cells compute.
+    fills: Mutex<HashMap<CellKey, Arc<Mutex<()>>>>,
     formation_counters: Counters,
     time_counters: Counters,
     /// Optional durable tier for *rendered results* (the serve daemon's
@@ -254,7 +283,8 @@ impl FormationCache {
             inner: Arc::new(Inner {
                 enabled,
                 formations: Mutex::new(HashMap::new()),
-                times: Mutex::new(HashMap::new()),
+                cells: Mutex::new(HashMap::new()),
+                fills: Mutex::new(HashMap::new()),
                 formation_counters: Counters::default(),
                 time_counters: Counters::default(),
                 disk: Mutex::new(None),
@@ -372,34 +402,103 @@ impl FormationCache {
         Arc::clone(formation)
     }
 
-    /// Memoizes the scalar `program_time` of one `(module, config,
-    /// machine)` cell: `compute` runs on a miss (or always, when the
-    /// cache is disabled).
-    pub fn time(
+    /// The cells of `module` under `config` on `machines`, which must be
+    /// register-file twins of one machine (the same machine once
+    /// [`MachineModel::without_reg_caps`] is applied). Stored cells are
+    /// returned as they are; `compute` gets the indices of the missing
+    /// ones and returns their values in that order, and the successful
+    /// ones are stored (always recomputed when the cache is disabled).
+    /// Single-flight: the group's lock is held while `compute` runs, and
+    /// a caller that waited on it counts the cells it then finds as hits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machines are not twins, or if `compute` returns the
+    /// wrong number of values.
+    pub fn cells<E>(
         &self,
         module: &Module,
         config: &EvalConfig,
-        machine: &MachineModel,
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
-        if !self.inner.enabled {
-            self.inner.time_counters.miss();
-            return compute();
-        }
-        let key = (
-            ModuleKey::of(module),
-            ConfigKey::of(&config.region),
-            config.heuristic,
-            config.dominator_parallelism,
-            machine_key(machine),
+        machines: &[MachineModel],
+        compute: impl FnOnce(&[usize]) -> Vec<Result<CellValue, E>>,
+    ) -> Vec<Result<CellValue, E>> {
+        let counters = &self.inner.time_counters;
+        let all: Vec<usize> = (0..machines.len()).collect();
+        let Some(base) = machines.first().map(MachineModel::without_reg_caps) else {
+            return Vec::new();
+        };
+        assert!(
+            machines.iter().all(|m| m.without_reg_caps() == base),
+            "one request's machines must be register-file twins"
         );
-        if let Some(&hit) = lock_tolerant(&self.inner.times).get(&key) {
-            self.inner.time_counters.hit();
-            return hit;
+        if !self.inner.enabled {
+            for _ in &all {
+                counters.miss();
+            }
+            return compute(&all);
         }
-        self.inner.time_counters.miss();
-        let v = compute();
-        *lock_tolerant(&self.inner.times).entry(key).or_insert(v)
+        let key = |m: &MachineModel| {
+            (
+                ModuleKey::of(module),
+                ConfigKey::of(&config.region),
+                config.heuristic,
+                config.dominator_parallelism,
+                machine_key(m),
+            )
+        };
+        let slots: Vec<CellSlot> = {
+            let mut map = lock_tolerant(&self.inner.cells);
+            machines
+                .iter()
+                .map(|m| Arc::clone(map.entry(key(m)).or_default()))
+                .collect()
+        };
+        let stored = |slots: &[CellSlot]| -> Vec<Option<CellValue>> {
+            slots.iter().map(|s| s.get().copied()).collect()
+        };
+        let mut values = stored(&slots);
+        if values.iter().any(Option::is_none) {
+            let fill = Arc::clone(
+                lock_tolerant(&self.inner.fills)
+                    .entry(key(&base))
+                    .or_default(),
+            );
+            let _held = lock_tolerant(&fill);
+            values = stored(&slots);
+            let missing: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| values[i].is_none())
+                .collect();
+            if !missing.is_empty() {
+                let computed = compute(&missing);
+                assert_eq!(computed.len(), missing.len(), "one value per missing cell");
+                let mut out: Vec<Option<Result<CellValue, E>>> =
+                    values.iter().map(|v| v.map(Ok)).collect();
+                for (&i, r) in missing.iter().zip(computed) {
+                    counters.miss();
+                    if let Ok(v) = &r {
+                        // Only this group's lock holder fills its slots.
+                        let _ = slots[i].set(*v);
+                    }
+                    out[i] = Some(r);
+                }
+                for _ in 0..machines.len() - missing.len() {
+                    counters.hit();
+                }
+                return out
+                    .into_iter()
+                    .map(|r| r.expect("every cell filled"))
+                    .collect();
+            }
+        }
+        for _ in &all {
+            counters.hit();
+        }
+        values
+            .into_iter()
+            .map(|v| Ok(v.expect("every cell stored")))
+            .collect()
     }
 
     /// Hit/miss statistics across all layers.
@@ -427,7 +526,8 @@ impl FormationCache {
     /// Drops every stored entry (statistics are preserved).
     pub fn clear(&self) {
         lock_tolerant(&self.inner.formations).clear();
-        lock_tolerant(&self.inner.times).clear();
+        lock_tolerant(&self.inner.cells).clear();
+        lock_tolerant(&self.inner.fills).clear();
     }
 }
 
@@ -463,34 +563,99 @@ mod tests {
         assert_eq!(s.formation.hits, 0);
     }
 
+    fn value(time: f64) -> CellValue {
+        CellValue {
+            time,
+            stats: PressureStats::default(),
+        }
+    }
+
     #[test]
-    fn time_layer_distinguishes_machines() {
+    fn cell_layer_distinguishes_machines() {
         let m = generate(&BenchmarkSpec::tiny(71));
         let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
         let cache = FormationCache::new();
-        let a = cache.time(&m, &cfg, &MachineModel::model_4u(), || 4.0);
-        let b = cache.time(&m, &cfg, &MachineModel::model_8u(), || 8.0);
+        let one = |machine: MachineModel, t: f64| {
+            cache.cells(&m, &cfg, &[machine], |_| vec![Ok::<_, ()>(value(t))])[0]
+                .unwrap()
+                .time
+        };
+        let a = one(MachineModel::model_4u(), 4.0);
+        let b = one(MachineModel::model_8u(), 8.0);
         assert_eq!((a, b), (4.0, 8.0));
         assert_eq!(cache.stats().time.misses, 2);
         assert_eq!(cache.stats().time.hits, 0);
     }
 
     #[test]
-    fn time_layer_memoizes_cells() {
+    fn cell_layer_memoizes_cells_and_fills_only_the_missing_twins() {
         let m = generate(&BenchmarkSpec::tiny(73));
         let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
         let m4 = MachineModel::model_4u();
+        let twins = [m4.clone(), m4.with_gpr_file(64), m4.with_gpr_file(32)];
         let cache = FormationCache::new();
-        let mut calls = 0usize;
-        let a = cache.time(&m, &cfg, &m4, || {
-            calls += 1;
-            42.0
+        let mut asked: Vec<Vec<usize>> = Vec::new();
+        let mut fill = |machines: &[MachineModel], t: f64| -> Vec<f64> {
+            cache
+                .cells(&m, &cfg, machines, |missing| {
+                    asked.push(missing.to_vec());
+                    missing
+                        .iter()
+                        .map(|&i| Ok::<_, ()>(value(t + i as f64)))
+                        .collect()
+                })
+                .into_iter()
+                .map(|r| r.unwrap().time)
+                .collect()
+        };
+        assert_eq!(fill(&twins[..1], 40.0), [40.0]);
+        // The unbounded cell is stored: only the capped twins compute.
+        assert_eq!(fill(&twins, 90.0), [40.0, 91.0, 92.0]);
+        assert_eq!(fill(&twins, 0.0), [40.0, 91.0, 92.0]);
+        assert_eq!(asked, vec![vec![0], vec![1, 2]]);
+        let s = cache.stats().time;
+        assert_eq!((s.misses, s.hits), (3, 4));
+    }
+
+    #[test]
+    fn failed_cells_are_not_stored() {
+        let m = generate(&BenchmarkSpec::tiny(77));
+        let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
+        let machines = [MachineModel::model_4u()];
+        let cache = FormationCache::new();
+        let r = cache.cells(&m, &cfg, &machines, |_| vec![Err("boom")]);
+        assert_eq!(r, vec![Err("boom")]);
+        let r = cache.cells(&m, &cfg, &machines, |_| vec![Ok::<_, &str>(value(1.0))]);
+        assert_eq!(r, vec![Ok(value(1.0))]);
+        assert_eq!(cache.stats().time.misses, 2);
+    }
+
+    #[test]
+    fn parallel_requests_compute_each_cell_once() {
+        let m = generate(&BenchmarkSpec::tiny(79));
+        let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
+        let m4 = MachineModel::model_4u();
+        let cache = FormationCache::new();
+        let computed = AtomicU64::new(0);
+        let requests: Vec<Vec<MachineModel>> = (0..8)
+            .map(|k| match k % 3 {
+                0 => vec![m4.clone()],
+                1 => vec![m4.clone(), m4.with_gpr_file(32)],
+                _ => vec![m4.with_gpr_file(32)],
+            })
+            .collect();
+        let times = treegion_par::par_map_jobs(4, &requests, |machines| {
+            cache.cells(&m, &cfg, machines, |missing| {
+                computed.fetch_add(missing.len() as u64, Ordering::Relaxed);
+                missing
+                    .iter()
+                    .map(|&i| Ok::<_, ()>(value(machines[i].name().len() as f64)))
+                    .collect()
+            })
         });
-        let b = cache.time(&m, &cfg, &m4, || {
-            calls += 1;
-            99.0 // must not be observed
-        });
-        assert_eq!((a, b, calls), (42.0, 42.0, 1));
+        assert_eq!(computed.load(Ordering::Relaxed), 2, "{times:?}");
+        let s = cache.stats().time;
+        assert_eq!((s.misses, s.hits), (2, 11 - 2));
     }
 
     #[test]

@@ -2,32 +2,32 @@
 //! evaluation (see DESIGN.md's experiment index).
 
 use crate::cache::{CacheStats, FormationCache};
-use crate::pipeline::{baseline_time_cached, program_time_cached};
+use crate::pipeline::{baseline_time_cached, expect_cell, program_time_cached, sweep_cached};
 use crate::report::{f2, f3, Table};
-use crate::stats::{pressure_stats_cached, region_stats_cached, RegionStats};
+use crate::stats::{region_stats_cached, RegionStats};
 use crate::{EvalConfig, RegionConfig};
 use treegion::{Heuristic, TailDupLimits};
 use treegion_ir::Module;
 use treegion_machine::MachineModel;
 use treegion_workloads::{generate, generate_suite, BenchmarkSpec};
 
-/// The generated benchmark suite plus cached 1U basic-block baselines.
+/// The generated benchmark suite.
 ///
 /// The suite owns a [`FormationCache`] shared by every table/figure
-/// generator, so formation, lowering, dependence graphs, and repeated
-/// `program_time` cells are each computed once across the whole
-/// evaluation run.
+/// generator, so formation, lowering, and repeated cells — the 1U
+/// basic-block baselines among them — are each computed once across the
+/// whole evaluation run, by the first cell that needs them. Loading
+/// schedules nothing, so a scheduler fault fails the cells that read the
+/// faulty schedules, inside their containment, not the load.
 #[derive(Clone, Debug)]
 pub struct Suite {
     /// One module per SPECint95-style benchmark.
     pub modules: Vec<Module>,
-    /// Cached baseline time (1U, basic blocks) per module.
-    pub baselines: Vec<f64>,
     cache: FormationCache,
 }
 
 impl Suite {
-    /// Generates the eight benchmarks and their baselines.
+    /// Generates the eight benchmarks.
     pub fn load() -> Self {
         Self::from_modules(generate_suite(), FormationCache::new())
     }
@@ -59,12 +59,7 @@ impl Suite {
     }
 
     fn from_modules(modules: Vec<Module>, cache: FormationCache) -> Self {
-        let baselines = treegion_par::par_map(&modules, |m| baseline_time_cached(m, &cache));
-        Suite {
-            modules,
-            baselines,
-            cache,
-        }
+        Suite { modules, cache }
     }
 
     /// The memoization handle shared by all generators.
@@ -77,8 +72,14 @@ impl Suite {
         self.cache.stats()
     }
 
+    /// Module `idx`'s baseline time (1U, basic blocks), computed by the
+    /// first cell that reads it.
+    pub fn baseline(&self, idx: usize) -> f64 {
+        baseline_time_cached(&self.modules[idx], &self.cache)
+    }
+
     fn speedup(&self, idx: usize, config: &EvalConfig, machine: &MachineModel) -> f64 {
-        self.baselines[idx] / program_time_cached(&self.modules[idx], config, machine, &self.cache)
+        self.baseline(idx) / program_time_cached(&self.modules[idx], config, machine, &self.cache)
     }
 
     fn stats(&self, idx: usize, config: &RegionConfig) -> RegionStats {
@@ -259,11 +260,30 @@ fn pressure_modules(suite: &Suite) -> Vec<Module> {
     ms
 }
 
-fn at_file(machine: &MachineModel, file: Option<u32>) -> MachineModel {
-    match file {
-        Some(cap) => machine.with_gpr_file(cap),
-        None => machine.clone(),
-    }
+/// `machine` under each file of `files`: the register-file twins one
+/// sweep fills.
+fn at_files(machine: &MachineModel, files: &[Option<u32>]) -> Vec<MachineModel> {
+    files
+        .iter()
+        .map(|file| match file {
+            Some(cap) => machine.with_gpr_file(*cap),
+            None => machine.clone(),
+        })
+        .collect()
+}
+
+/// The cells of `module` under `config` on `machines` from one sweep,
+/// panicking with the first failed cell's error.
+fn sweep(
+    module: &Module,
+    config: &EvalConfig,
+    machines: &[MachineModel],
+    cache: &FormationCache,
+) -> Vec<crate::CellValue> {
+    sweep_cached(module, config, machines, cache)
+        .into_iter()
+        .map(expect_cell)
+        .collect()
 }
 
 /// Pressure ablation: speedup over the 1U/basic-block/unbounded baseline
@@ -281,21 +301,26 @@ pub fn pressure_ablation(suite: &Suite, machine: &MachineModel) -> Table {
     let schemes = [RegionConfig::BasicBlock, RegionConfig::Treegion];
     let modules = pressure_modules(suite);
     let cache = suite.cache();
-    let baselines: Vec<f64> = treegion_par::par_map(&modules, |m| baseline_time_cached(m, cache));
-    let cells: Vec<(usize, usize, usize)> = (0..modules.len())
-        .flat_map(|i| {
-            (0..ABLATION_FILES.len()).flat_map(move |f| (0..schemes.len()).map(move |k| (i, f, k)))
-        })
+    let files = at_files(machine, &ABLATION_FILES);
+    // One sweep per (module, scheme) fills all three files.
+    let sweeps: Vec<(usize, usize)> = (0..modules.len())
+        .flat_map(|i| (0..schemes.len()).map(move |k| (i, k)))
         .collect();
-    let values = treegion_par::par_map(&cells, |&(i, f, k)| {
+    let speedups = treegion_par::par_map(&sweeps, |&(i, k)| {
         let cfg = EvalConfig::new(schemes[k], Heuristic::GlobalWeight);
-        let m = at_file(machine, ABLATION_FILES[f]);
-        baselines[i] / program_time_cached(&modules[i], &cfg, &m, cache)
+        let base = baseline_time_cached(&modules[i], cache);
+        sweep(&modules[i], &cfg, &files, cache)
+            .into_iter()
+            .map(|c| base / c.time)
+            .collect::<Vec<f64>>()
     });
-    let stride = ABLATION_FILES.len() * schemes.len();
     let best = |bb: f64, tree: f64| if tree >= bb { "tree" } else { "bb" };
     for (i, m) in modules.iter().enumerate() {
-        let v = &values[i * stride..(i + 1) * stride];
+        // Columns: each file, bb then tree.
+        let v: Vec<f64> = (0..files.len())
+            .flat_map(|f| (0..schemes.len()).map(move |k| (f, k)))
+            .map(|(f, k)| speedups[i * schemes.len() + k][f])
+            .collect();
         let mut row = vec![m.name().to_string()];
         row.extend(v.iter().map(|&s| f3(s)));
         row.push(best(v[0], v[1]).into());
@@ -316,12 +341,10 @@ pub fn pressure_table(suite: &Suite, machine: &MachineModel) -> Table {
     let modules = pressure_modules(suite);
     let cache = suite.cache();
     let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
-    let finite = machine.with_gpr_file(32);
+    let files = at_files(machine, &[None, Some(32)]);
     let stats: Vec<_> = treegion_par::par_map(&modules, |m| {
-        (
-            pressure_stats_cached(m, &cfg, machine, cache),
-            pressure_stats_cached(m, &cfg, &finite, cache),
-        )
+        let cells = sweep(m, &cfg, &files, cache);
+        (cells[0].stats, cells[1].stats)
     });
     for (m, (unb, fin)) in modules.iter().zip(stats) {
         t.row(vec![
@@ -435,24 +458,36 @@ mod tests {
     fn fig8_forms_treegions_exactly_once_per_module() {
         let suite = Suite::load_small(1);
         let m4 = MachineModel::model_4u();
-        // Loading computed the 1U basic-block baseline: one bb formation.
+        // Loading schedules nothing: no formation yet.
         let s0 = suite.cache_stats();
-        assert_eq!(s0.formation.misses, 1, "{s0:?}");
+        assert_eq!(s0.formation.misses, 0, "{s0:?}");
 
         // Figure 8 sweeps all four heuristics over treegions: the
         // treegion formation must be computed exactly once and then hit
-        // three times (heuristics share formation artifacts).
+        // three times (heuristics share formation artifacts); its cells
+        // compute the 1U baseline once, the one bb formation.
         let _ = fig8(&suite, &m4);
         let s1 = suite.cache_stats();
         assert_eq!(s1.formation.misses, 2, "{s1:?}");
         assert_eq!(s1.formation.hits - s0.formation.hits, 3, "{s1:?}");
 
+        // Four heuristic cells and one baseline computed; the other
+        // three speedup cells read that baseline.
+        assert_eq!((s1.time.misses, s1.time.hits), (5, 3), "{s1:?}");
+
         // Regenerating the figure hits the per-cell time layer: no new
-        // formation work at all.
+        // formation work at all, and each of the four speedup cells
+        // reads its heuristic's cell and the baseline.
         let _ = fig8(&suite, &m4);
         let s2 = suite.cache_stats();
         assert_eq!(s2.formation.misses, 2, "{s2:?}");
-        assert_eq!(s2.time.hits - s1.time.hits, 4, "{s2:?}");
+        assert_eq!(s2.time.hits - s1.time.hits, 8, "{s2:?}");
+    }
+
+    #[test]
+    fn loading_schedules_nothing() {
+        let s = Suite::load().cache_stats();
+        assert_eq!((s.formation.misses, s.time.misses), (0, 0), "{s:?}");
     }
 
     #[test]
@@ -461,7 +496,7 @@ mod tests {
         let uncached = Suite::load_small_uncached(1);
         assert!(cached.cache().is_enabled());
         assert!(!uncached.cache().is_enabled());
-        assert_eq!(cached.baselines, uncached.baselines);
+        assert_eq!(cached.baseline(0), uncached.baseline(0));
         let t_on = table1(&cached).render();
         let t_off = table1(&uncached).render();
         assert_eq!(t_on, t_off);

@@ -37,7 +37,9 @@ mod shardcache;
 mod stats;
 mod variation;
 
-pub use cache::{CacheStats, FormationCache, FunctionFormation, LayerStats, ModuleFormation};
+pub use cache::{
+    CacheStats, CellValue, FormationCache, FunctionFormation, LayerStats, ModuleFormation,
+};
 pub use checkpoint::{
     cell_path, fnv1a, git_rev, sanitize, CellRecord, CellStatus, ManifestRecovery, RunManifest,
     MANIFEST_FILE,
@@ -50,8 +52,9 @@ pub use harness::{
     table4, Suite,
 };
 pub use pipeline::{
-    baseline_time, baseline_time_cached, form_function, program_time, program_time_cached,
-    program_time_robust, speedup, speedup_with_baseline, RobustModuleReport,
+    baseline_time, baseline_time_cached, cell_cached, form_function, program_time,
+    program_time_cached, program_time_robust, speedup, speedup_with_baseline, sweep_cached,
+    RobustModuleReport,
 };
 pub use records::{
     check as check_record, escape as escape_record, recover as recover_records,

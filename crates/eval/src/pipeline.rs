@@ -3,16 +3,20 @@
 //!
 //! Formation goes through [`treegion::RegionFormer`] (the
 //! [`RegionConfig`] enum implements it), and every region is scheduled
-//! by the driver's verifier-gated chain: [`treegion::Pipeline::run_lowered`]
-//! on the [`FormationCache`]'s front half for the analytic cells, and
-//! [`treegion::Pipeline::run_module`] for [`program_time_robust`]. The
-//! evaluation-specific parts that remain are the cell memoization and the
-//! analytic time/speedup aggregation.
+//! by the driver's verifier-gated chain:
+//! [`treegion::Pipeline::run_lowered_files`] on the [`FormationCache`]'s
+//! front half for the analytic cells (one machine and any of its
+//! register-file twins at once), and [`treegion::Pipeline::run_module`]
+//! for [`program_time_robust`]. The evaluation-specific parts that
+//! remain are the cell memoization and the analytic time/speedup
+//! aggregation.
 
+use crate::cache::CellValue;
+use crate::stats::PressureStats;
 use crate::{EvalConfig, FormationCache, RegionConfig};
 use treegion::{
     EventLog, FallbackPolicy, FormOutcome, Heuristic, Pipeline, PipelineError, RegionFormer,
-    RobustOptions,
+    RobustOptions, RobustResult,
 };
 use treegion_ir::{Function, Module};
 use treegion_machine::MachineModel;
@@ -80,33 +84,109 @@ pub fn program_time(module: &Module, config: &EvalConfig, machine: &MachineModel
 }
 
 /// [`program_time`] through a [`FormationCache`]: formation, liveness and
-/// lowering are shared across heuristics/machines, and the final scalar
-/// across repeated cells (several figures share columns). The summation
+/// lowering are shared across heuristics/machines, and the cell across
+/// repeated requests (several figures share columns). The summation
 /// order — per region, then per function — is identical to the uncached
 /// path, so the result is bit-for-bit the same whether the cache is
 /// enabled, disabled, warm or cold.
+///
+/// # Panics
+///
+/// Panics with the [`PipelineError`] when a region fails every rung the
+/// cell's options allow (see [`cell_cached`]).
 pub fn program_time_cached(
     module: &Module,
     config: &EvalConfig,
     machine: &MachineModel,
     cache: &FormationCache,
 ) -> f64 {
-    cache.time(module, config, machine, || {
-        // Every region runs the verifier-gated chain from the cached front
-        // half; under a finite file, pressure livelocks are recovered by
-        // spill insertion (whose cycles are part of the region's cost) and
-        // irreducible overflows degrade down the SLR→BB ladder.
-        let p = Pipeline::with_options(machine, cell_options(config, machine));
-        cache
+    expect_cell(cell_cached(module, config, machine, cache)).time
+}
+
+/// One analytic cell — `module`'s estimated time and pressure statistics
+/// under `config` on `machine` — through the [`FormationCache`]'s cell
+/// layer: [`sweep_cached`] over `machine` alone.
+///
+/// # Errors
+///
+/// The first function's [`PipelineError`], in module order, when the
+/// chain fails on it.
+pub fn cell_cached(
+    module: &Module,
+    config: &EvalConfig,
+    machine: &MachineModel,
+    cache: &FormationCache,
+) -> Result<CellValue, PipelineError> {
+    sweep_cached(module, config, std::slice::from_ref(machine), cache)
+        .pop()
+        .expect("one cell per machine")
+}
+
+/// Panics with a failed cell's [`PipelineError`].
+pub(crate) fn expect_cell(cell: Result<CellValue, PipelineError>) -> CellValue {
+    cell.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The cells of `module` under `config` on `machines` — register-file
+/// twins of one machine, e.g. one machine at several GPR file sizes —
+/// in one sweep: the chain runs once on the unbounded machine, and each
+/// capped file re-runs it only on the regions it binds
+/// ([`Pipeline::run_lowered_files`]). Cells already in `cache` are not
+/// recomputed. Each value equals what the chain gives on that machine
+/// alone: the time summed per region, then per function, and the
+/// pressure statistics folded from the accepted schedules. Every cell
+/// the harness prints comes from here.
+///
+/// # Panics
+///
+/// Panics if the machines are not register-file twins of one machine.
+pub fn sweep_cached(
+    module: &Module,
+    config: &EvalConfig,
+    machines: &[MachineModel],
+    cache: &FormationCache,
+) -> Vec<Result<CellValue, PipelineError>> {
+    cache.cells(module, config, machines, |missing| {
+        let base = machines[missing[0]].without_reg_caps();
+        let capped: Vec<&MachineModel> = missing
+            .iter()
+            .map(|&i| &machines[i])
+            .filter(|m| m.has_finite_regs())
+            .collect();
+        let p = Pipeline::with_options(&base, cell_options(config, &base));
+        let twins: Vec<Pipeline<'_>> = capped
+            .iter()
+            .map(|m| Pipeline::with_options(m, cell_options(config, m)))
+            .collect();
+        // One result list per function, unbounded first, then the twins.
+        let runs: Vec<Vec<Result<RobustResult, PipelineError>>> = cache
             .formation(module, &config.region)
             .functions
             .iter()
-            .map(|ff| {
-                p.run_lowered(&ff.formed, &ff.front, &treegion::NullObserver)
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .estimated_time()
+            .map(|ff| p.run_lowered_files(&ff.formed, &ff.front, &twins, &treegion::NullObserver))
+            .collect();
+        let fold = |k: usize| -> Result<CellValue, PipelineError> {
+            let results: Vec<&RobustResult> = runs
+                .iter()
+                .map(|r| r[k].as_ref().map_err(Clone::clone))
+                .collect::<Result<_, _>>()?;
+            Ok(CellValue {
+                time: results.iter().map(|r| r.estimated_time()).sum(),
+                stats: PressureStats::of(results.iter().flat_map(|r| &r.outcomes)),
             })
-            .sum()
+        };
+        let mut twin = 0;
+        missing
+            .iter()
+            .map(|&i| {
+                if machines[i].has_finite_regs() {
+                    twin += 1;
+                    fold(twin)
+                } else {
+                    fold(0)
+                }
+            })
+            .collect()
     })
 }
 

@@ -2,7 +2,7 @@
 //! live-range pressure statistics (the pressure ablation's columns).
 
 use crate::{EvalConfig, FormationCache, RegionConfig};
-use treegion::{Pipeline, Profiler, Stage};
+use treegion::RegionOutcome;
 use treegion_ir::Module;
 use treegion_machine::MachineModel;
 
@@ -79,35 +79,39 @@ pub struct PressureStats {
     pub spills: u64,
 }
 
-/// Computes [`PressureStats`] by scheduling every region of `module`
-/// under `config` on `machine` with a [`Profiler`] attached and reading
-/// back the list scheduler's pressure counters. Every region runs the
-/// verifier-gated chain from the cached front half, as
-/// [`crate::program_time_cached`] does, so under a finite file the
-/// counters cover every spill round and fallback attempt the analytic
-/// time model charged for.
+impl PressureStats {
+    /// Folds the list scheduler's counters of accepted schedules (every
+    /// outcome of a module's runs): the largest peak, the summed parks
+    /// and spills.
+    pub fn of<'a>(outcomes: impl IntoIterator<Item = &'a RegionOutcome>) -> Self {
+        outcomes
+            .into_iter()
+            .fold(PressureStats::default(), |acc, o| PressureStats {
+                peak: acc
+                    .peak
+                    .max(o.metrics.pressure_peak.iter().copied().max().unwrap_or(0)),
+                parks: acc.parks + o.metrics.pressure_parks,
+                spills: acc.spills + o.spills,
+            })
+    }
+}
+
+/// The [`PressureStats`] of `module` under `config` on `machine`, read
+/// from the cell that [`crate::program_time_cached`] reads its time from:
+/// the counters of the schedules the analytic time model charged for,
+/// spill rounds included.
+///
+/// # Panics
+///
+/// Panics with the [`treegion::PipelineError`] when the cell's chain
+/// fails (see [`crate::cell_cached`]).
 pub fn pressure_stats_cached(
     module: &Module,
     config: &EvalConfig,
     machine: &MachineModel,
     cache: &FormationCache,
 ) -> PressureStats {
-    let prof = Profiler::new();
-    let p = Pipeline::with_options(machine, crate::pipeline::cell_options(config, machine));
-    for ff in &cache.formation(module, &config.region).functions {
-        p.run_lowered(&ff.formed, &ff.front, &prof)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-    let ls = prof
-        .report()
-        .into_iter()
-        .find(|s| s.stage == Stage::ListSched)
-        .expect("profiler reports every stage");
-    PressureStats {
-        peak: ls.stats.pressure_peak,
-        parks: ls.stats.pressure_parks,
-        spills: ls.stats.spills,
-    }
+    crate::pipeline::expect_cell(crate::cell_cached(module, config, machine, cache)).stats
 }
 
 #[cfg(test)]

@@ -15,10 +15,9 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
-use treegion_suite::eval::{
-    pressure_stats_cached, program_time_cached, EvalConfig, FormationCache, PressureStats, Suite,
-};
+use treegion_suite::eval::{cell_cached, EvalConfig, FormationCache, PressureStats, Suite};
 use treegion_suite::prelude::*;
+use treegion_suite::treegion::{FallbackPolicy, PipelineError};
 use treegion_suite::workloads::generate_fuzz;
 
 fn golden_corpus() -> Vec<Function> {
@@ -245,75 +244,115 @@ fn assert_stage_protocol(f: &Function, regions: usize, rec: Recorder) {
 
 /// The time and pressure statistics of one module the way the harness
 /// computed them before it reused the cached front half: every function
-/// formed and driven through [`Pipeline::run_formed`] under one
-/// [`Profiler`].
+/// formed and driven through [`Pipeline::run_formed`] on `machine`
+/// alone, the statistics folded from the accepted outcomes; or the first
+/// function's error.
 fn run_formed_reference(
     module: &Module,
     config: &EvalConfig,
     machine: &MachineModel,
-) -> (f64, PressureStats) {
+) -> Result<(f64, PressureStats), PipelineError> {
     let p = Pipeline::with_options(
         machine,
         RobustOptions {
             sched: config.sched_options(),
+            fallback: if machine.has_finite_regs() {
+                FallbackPolicy::default()
+            } else {
+                FallbackPolicy::None
+            },
             ..Default::default()
         },
     );
-    let prof = Profiler::new();
-    let time = module
-        .functions()
-        .iter()
-        .map(|f| {
-            let formed = p.form(f, &config.region, &NullObserver);
-            p.run_formed(&formed, &prof)
-                .expect("robust chain schedules every function")
-                .estimated_time()
-        })
-        .sum();
-    let ls = prof
-        .report()
-        .into_iter()
-        .find(|s| s.stage == Stage::ListSched)
-        .expect("profiler reports every stage");
-    let stats = PressureStats {
-        peak: ls.stats.pressure_peak,
-        parks: ls.stats.pressure_parks,
-        spills: ls.stats.spills,
-    };
-    (time, stats)
+    let mut stats = PressureStats::default();
+    let mut times = Vec::new();
+    for f in module.functions() {
+        let formed = p.form(f, &config.region, &NullObserver);
+        let run = p.run_formed(&formed, &NullObserver)?;
+        times.push(run.estimated_time());
+        for o in &run.outcomes {
+            stats.peak = stats
+                .peak
+                .max(o.metrics.pressure_peak.into_iter().max().unwrap());
+            stats.parks += o.metrics.pressure_parks;
+            stats.spills += o.spills;
+        }
+    }
+    Ok((times.into_iter().sum(), stats))
 }
 
-/// The harness's cells — `program_time_cached` and
-/// `pressure_stats_cached`, which drive the robust chain from the cached
-/// front half for every machine — equal the `run_formed` path bit for
-/// bit, over the reduced suite plus the pressure stressor, on symmetric
-/// and asymmetric machines, with unbounded files and at both ablation
-/// file sizes, for basic blocks and treegions.
+/// The harness's cells — `cell_cached`, behind `program_time_cached`
+/// and `pressure_stats_cached`, which drives the robust chain from the
+/// cached front half and fills every finite-file cell from a
+/// register-file sweep that re-runs only the regions a file binds —
+/// equal the `run_formed` path bit for bit: times, pressure statistics,
+/// and the error of a cell whose chain fails. Inputs: the reduced suite,
+/// the pressure stressor and two tiny modules, on symmetric and
+/// asymmetric machines, unbounded and at GPR files of 64, 32, 16 and 12,
+/// for basic blocks and treegions under global weight (plus dependence
+/// height and `pressure` on treegions on the asymmetric machine), each
+/// finite cell computed both before and after its unbounded twin.
 #[test]
 fn cached_front_half_matches_run_formed_under_finite_registers() {
     let mut modules = Suite::load_small(2).modules;
     modules.push(generate(&BenchmarkSpec::pressure()));
-    let cache = FormationCache::new();
-    let mut spilled = false;
+    modules.extend([5u64, 7].map(|seed| generate(&BenchmarkSpec::tiny(seed))));
+    let files = [None, Some(64), Some(32), Some(16), Some(12)];
+    let (mut spilled, mut failed) = (false, false);
+    let global = |region| EvalConfig::new(region, Heuristic::GlobalWeight);
     for base in [
         MachineModel::model_1u(),
         MachineModel::model_4u_asym(),
         MachineModel::model_8u(),
     ] {
-        for machine in [base.clone(), base.with_gpr_file(64), base.with_gpr_file(32)] {
-            for region in [RegionConfig::BasicBlock, RegionConfig::Treegion] {
-                let config = EvalConfig::new(region, Heuristic::GlobalWeight);
-                for m in &modules {
-                    let tag = format!("{} {region:?} on {machine}", m.name());
-                    let (time, stats) = run_formed_reference(m, &config, &machine);
-                    let cached = program_time_cached(m, &config, &machine, &cache);
-                    assert_eq!(cached.to_bits(), time.to_bits(), "{tag}: time");
-                    let cached = pressure_stats_cached(m, &config, &machine, &cache);
-                    assert_eq!(cached, stats, "{tag}: pressure statistics");
-                    spilled |= stats.spills > 0;
+        let machines: Vec<MachineModel> = files
+            .iter()
+            .map(|f| f.map_or(base.clone(), |cap| base.with_gpr_file(cap)))
+            .collect();
+        let mut configs = vec![
+            global(RegionConfig::BasicBlock),
+            global(RegionConfig::Treegion),
+        ];
+        if base.name() == "4U-asym" {
+            configs.extend(
+                [Heuristic::DependenceHeight, Heuristic::RegPressure]
+                    .map(|h| EvalConfig::new(RegionConfig::Treegion, h)),
+            );
+        }
+        for config in &configs {
+            for m in &modules {
+                let references: Vec<_> = machines
+                    .iter()
+                    .map(|machine| run_formed_reference(m, config, machine))
+                    .collect();
+                // Unbounded twin first, then the finite cells first (the
+                // sweep's cold path), each on a fresh cache.
+                for finite_first in [false, true] {
+                    let cache = FormationCache::new();
+                    let mut order: Vec<usize> = (0..machines.len()).collect();
+                    if finite_first {
+                        order.reverse();
+                    }
+                    for &k in &order {
+                        let machine = &machines[k];
+                        let tag = format!("{} {config:?} on {machine}", m.name());
+                        match (&references[k], cell_cached(m, config, machine, &cache)) {
+                            (Ok((time, stats)), Ok(cell)) => {
+                                assert_eq!(cell.time.to_bits(), time.to_bits(), "{tag}: time");
+                                assert_eq!(cell.stats, *stats, "{tag}: pressure statistics");
+                                spilled |= stats.spills > 0;
+                            }
+                            (Err(e), Err(cell)) => {
+                                assert_eq!(cell, *e, "{tag}: error");
+                                failed = true;
+                            }
+                            (r, c) => panic!("{tag}: reference {r:?} but cell {c:?}"),
+                        }
+                    }
                 }
             }
         }
     }
     assert!(spilled, "no cell spilled: the spill rounds went untested");
+    assert!(failed, "no cell failed: the error path went untested");
 }
