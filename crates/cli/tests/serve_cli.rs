@@ -6,7 +6,8 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 use treegion_serve::{
     parse_response, read_frame, render_compile, render_simple, write_frame, BatchOptions,
     ModuleRequest, Poison, ResponseFrame, ResultStatus, Verb,
@@ -23,22 +24,41 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
+/// A daemon child process, killed and reaped when dropped, so a test
+/// that fails before its drain leaves no `tgc serve` running.
+struct Daemon(Child);
+
+impl Daemon {
+    /// Waits for the daemon to exit on its own.
+    fn wait(mut self) -> ExitStatus {
+        self.0.wait().unwrap()
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns `tgc serve` on an ephemeral port and scrapes the bound
 /// address from the `listening on ADDR` stdout line.
-fn spawn_serve(extra: &[&str]) -> (Child, String) {
+fn spawn_serve(extra: &[&str]) -> (Daemon, String) {
     let mut cmd = tgc();
     cmd.args(["serve", "--addr", "127.0.0.1:0"]).args(extra);
     spawn_listening(cmd)
 }
 
 /// Spawns a command that execs a daemon and scrapes its address.
-fn spawn_listening(mut cmd: Command) -> (Child, String) {
-    let mut child = cmd
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("tgc serve spawns");
-    let stdout = child.stdout.take().unwrap();
+fn spawn_listening(mut cmd: Command) -> (Daemon, String) {
+    let mut child = Daemon(
+        cmd.stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("tgc serve spawns"),
+    );
+    let stdout = child.0.stdout.take().unwrap();
     let mut lines = BufReader::new(stdout).lines();
     let addr = loop {
         let line = lines
@@ -83,20 +103,33 @@ fn ping(s: &mut TcpStream) -> String {
 }
 
 fn stats_body(addr: &str) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    write_frame(&mut s, &render_simple(Verb::Stats)).unwrap();
-    let frame = parse_response(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+    stats_on(&mut TcpStream::connect(addr).unwrap())
+}
+
+/// The `stats` body, asked over an open connection.
+fn stats_on(s: &mut TcpStream) -> String {
+    write_frame(s, &render_simple(Verb::Stats)).unwrap();
+    let frame = parse_response(&read_frame(s).unwrap().unwrap()).unwrap();
     assert_eq!(frame.kind, "stats");
     frame.body
 }
 
-/// Graceful stop over the wire; the child must exit 0.
-fn shutdown(addr: &str, mut child: Child) {
+/// The `accept-overload` counter of a `stats` body.
+fn accept_overloads(stats: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix("accept-overload "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no accept-overload in {stats}"))
+}
+
+/// Graceful stop over the wire; the daemon must exit 0.
+fn shutdown(addr: &str, daemon: Daemon) {
     let mut s = TcpStream::connect(addr).unwrap();
     write_frame(&mut s, &render_simple(Verb::Shutdown)).unwrap();
     let frame = parse_response(&read_frame(&mut s).unwrap().unwrap()).unwrap();
     assert_eq!(frame.kind, "draining");
-    let status = child.wait().unwrap();
+    let status = daemon.wait();
     assert!(status.success(), "serve exited {status:?} after drain");
 }
 
@@ -121,8 +154,8 @@ fn kill_nine_drill_restart_serves_identical_bytes() {
 
     // SIGKILL: no drain, no seal, no compaction — the cache file is
     // whatever the per-put fsyncs left behind.
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.0.kill().unwrap();
+    child.0.wait().unwrap();
 
     // Simulate the crash landing mid-write: a torn, unchecksummable
     // tail after the last complete record. The cache is striped across
@@ -240,10 +273,7 @@ fn client_round_trip_maps_outcomes_to_exit_codes() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let status = {
-        let mut child = child;
-        child.wait().unwrap()
-    };
+    let status = child.wait();
     assert!(
         status.success(),
         "serve exited {status:?} after client shutdown"
@@ -335,6 +365,11 @@ fn unbindable_address_is_serve_fatal() {
 /// `ulimit -n 64` it answers 500 sequential connections; then 100 held
 /// open at once exhaust the limit, and each waits for an earlier one to
 /// close. The overload is counted, and drain still exits 0.
+///
+/// Overload is made certain before any held connection closes: a
+/// control connection, accepted before the 100 open, polls `stats`
+/// until the daemon has counted it (it never waits on `accept`), and
+/// only then are the held connections pinged and dropped in turn.
 #[test]
 fn small_descriptor_limit_is_overload_not_death() {
     let mut cmd = Command::new("sh");
@@ -343,26 +378,32 @@ fn small_descriptor_limit_is_overload_not_death() {
         "ulimit -n 64; exec \"$0\" serve --addr 127.0.0.1:0 --no-quarantine",
         env!("CARGO_BIN_EXE_tgc"),
     ]);
-    let (child, addr) = spawn_listening(cmd);
+    let (daemon, addr) = spawn_listening(cmd);
     for i in 0..500 {
         let mut s = TcpStream::connect(&addr).unwrap();
         assert_eq!(ping(&mut s), "pong", "connection {i}");
     }
-    let stats = stats_body(&addr);
-    assert!(stats.contains("accept-overload "), "{stats}");
+    let mut control = TcpStream::connect(&addr).unwrap();
+    assert_eq!(ping(&mut control), "pong");
+    assert_eq!(accept_overloads(&stats_on(&mut control)), 0);
 
     let held: Vec<TcpStream> = (0..100)
         .map(|_| TcpStream::connect(&addr).unwrap())
         .collect();
+    let started = Instant::now();
+    loop {
+        let stats = stats_on(&mut control);
+        if accept_overloads(&stats) > 0 {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "100 held connections never exhausted the limit: {stats}"
+        );
+    }
     for (i, mut s) in held.into_iter().enumerate() {
         assert_eq!(ping(&mut s), "pong", "held connection {i}");
     }
-    let stats = stats_body(&addr);
-    let overloads: u64 = stats
-        .lines()
-        .find_map(|l| l.strip_prefix("accept-overload "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no accept-overload in {stats}"));
-    assert!(overloads > 0, "{stats}");
-    shutdown(&addr, child);
+    drop(control);
+    shutdown(&addr, daemon);
 }

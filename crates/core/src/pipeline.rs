@@ -321,43 +321,43 @@ impl<'m> Pipeline<'m> {
         )
     }
 
-    /// [`Pipeline::run_lowered`] on this pipeline's unbounded machine and
-    /// on each capped twin of a register-file sweep, scheduling each
-    /// region once for all of them: a twin keeps every outcome of the
-    /// unbounded run its files provably cannot change, and runs the
-    /// ordinary chain (spill rounds, SLR→BB ladder, verification) only on
-    /// the regions they bind. The rule is exact: the scheduler's
-    /// register-file ceiling can refuse an op only when `live + defs`
-    /// reaches a cap, so a region whose
-    /// [`crate::SchedMetrics::file_demand`] stays below every cap of the
-    /// twin schedules identically there, and its schedule is reused only
-    /// after [`crate::verify_reg_files`] accepts it on the twin's files.
+    /// [`Pipeline::run_lowered`] on this pipeline's machine and on the
+    /// same machine with each GPR file of `caps`
+    /// ([`MachineModel::with_gpr_file`]), scheduling each region once for
+    /// all of them. The capped machines run under this pipeline's options
+    /// with `capped_fallback` as their fallback policy. Each keeps every
+    /// outcome of the first run its file provably cannot change, and runs
+    /// the ordinary chain (spill rounds, SLR→BB ladder, verification)
+    /// only on the regions the file binds. The rule is exact: the
+    /// scheduler's register-file ceiling can refuse an op only when
+    /// `live + defs` reaches a cap, so a region whose
+    /// [`crate::SchedMetrics::file_demand`] stays below every cap
+    /// schedules identically there, and its schedule is reused only after
+    /// [`crate::verify_reg_files`] accepts it on the capped files.
     ///
-    /// Returns one result per machine, this pipeline's first, then the
-    /// twins in order; each equals what [`Pipeline::run_lowered`] returns
-    /// on that machine with those options: outcomes, events and errors.
-    /// A twin is a pipeline on this machine with finite files (see
-    /// [`MachineModel::same_resources`]) and the same options but for
-    /// fallback and verification; a twin that is not, and every twin of
-    /// a finite machine or a fault campaign, runs the whole chain.
+    /// Returns one result per machine, this pipeline's first, then one
+    /// per cap in order; each equals what [`Pipeline::run_lowered`]
+    /// returns on that machine with those options: outcomes, events and
+    /// errors.
     ///
     /// Observers see only work that runs: this pipeline's stages for
-    /// every region, a twin's stages only for the regions it re-runs.
-    /// Degradation hooks fire at each result's merge, in result order.
+    /// every region, a capped machine's stages only for the regions it
+    /// re-runs. Degradation hooks fire at each result's merge, in result
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `lowered` does not hold one region per region of
-    /// `formed`.
+    /// `formed`, or if `caps` is not empty while this pipeline's machine
+    /// has a finite register file or its options a fault plan.
     pub fn run_lowered_files(
         &self,
         formed: &FormOutcome,
         lowered: &LoweredFunction,
-        twins: &[Pipeline<'_>],
+        caps: &[u32],
+        capped_fallback: FallbackPolicy,
         obs: &dyn PassObserver,
     ) -> Vec<Result<RobustResult, PipelineError>> {
-        let twins: Vec<(&MachineModel, &RobustOptions)> =
-            twins.iter().map(|p| (p.machine, &p.options)).collect();
         run_robust_files(
             &formed.function,
             &formed.regions,
@@ -365,7 +365,8 @@ impl<'m> Pipeline<'m> {
             &lowered.live,
             &lowered.lowered,
             (self.machine, &self.options),
-            &twins,
+            caps,
+            capped_fallback,
             obs,
         )
     }

@@ -264,22 +264,24 @@ fn merge(
     Ok(result)
 }
 
-/// The engine behind [`crate::Pipeline::run_lowered_files`]: the chain on
-/// `primary`'s unbounded machine, then on each capped twin in `twins`,
-/// reusing every primary outcome the twin's files provably cannot change.
+/// The engine behind [`crate::Pipeline::run_lowered_files`]: the chain
+/// on `m` under `opts`, then on `m` with each GPR file of `caps` under
+/// `opts` with `capped_fallback` as fallback policy, reusing every
+/// outcome of the first run a capped file provably cannot change.
 ///
-/// A region's outcome is reused when the primary run accepted it clean
+/// A region's outcome is reused when the first run accepted it clean
 /// (its primary shape, no events), its [`SchedMetrics::file_demand`]
-/// stays below every cap of the twin — the ceiling then never fires, so
-/// the twin's scheduler would make the same decisions — and
-/// [`verify_reg_files`] accepts the schedule on the twin's files (the
+/// stays below every cap of the capped machine — the ceiling then never
+/// fires, so that machine's scheduler would make the same decisions —
+/// and [`verify_reg_files`] accepts the schedule on its files (the
 /// verifier's other checks do not read the files, and they already
-/// accepted it). Every other region runs the ordinary chain on the twin.
-/// Reuse needs matching conditions: an unbounded primary machine without
-/// a fault plan, and twins that differ from it only in their register
-/// files and from its options only in fallback and verification (a twin
-/// verifies unless the primary did too). A twin that does not qualify
-/// runs the whole chain. Results come in `primary`, then `twins` order.
+/// accepted it). Every other region runs the ordinary chain on the
+/// capped machine. Results come in `m`, then `caps` order.
+///
+/// # Panics
+///
+/// Panics if `caps` is not empty while `m` has a finite register file or
+/// `opts` a fault plan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_robust_files(
     f: &Function,
@@ -287,35 +289,42 @@ pub(crate) fn run_robust_files(
     origin_map: Option<&[BlockId]>,
     live: &Liveness,
     lowered: &[Arc<LoweredRegion>],
-    primary: (&MachineModel, &RobustOptions),
-    twins: &[(&MachineModel, &RobustOptions)],
+    (m, opts): (&MachineModel, &RobustOptions),
+    caps: &[u32],
+    capped_fallback: FallbackPolicy,
     obs: &dyn PassObserver,
 ) -> Vec<Result<RobustResult, PipelineError>> {
-    let (m, opts) = primary;
     assert_eq!(lowered.len(), set.len(), "one lowered region per region");
-    let run_all = |(m, opts): (&MachineModel, &RobustOptions)| {
-        run_robust(f, set, origin_map, live, Some(lowered), m, opts, obs)
-    };
-    if opts.fault.is_some() || m.has_finite_regs() {
-        return std::iter::once(primary)
-            .chain(twins.iter().copied())
-            .map(run_all)
-            .collect();
+    if caps.is_empty() {
+        return vec![run_robust(
+            f,
+            set,
+            origin_map,
+            live,
+            Some(lowered),
+            m,
+            opts,
+            obs,
+        )];
     }
+    assert!(
+        !m.has_finite_regs() && opts.fault.is_none(),
+        "a register-file sweep starts from an unbounded machine without a fault plan"
+    );
+    let capped_opts = RobustOptions {
+        fallback: capped_fallback,
+        ..opts.clone()
+    };
+    let capped: Vec<MachineModel> = caps.iter().map(|&cap| m.with_gpr_file(cap)).collect();
     let runs = region_runs(f, set, origin_map, live, Some(lowered), m, opts, obs);
-    // Every (twin, region) pair, each either reused (`None`) or re-run on
-    // the twin; the checks and the re-runs fan out together.
-    let pairs: Vec<(usize, usize)> = (0..twins.len())
+    // Every (capped machine, region) pair, each either reused (`None`) or
+    // re-run there; the checks and the re-runs fan out together.
+    let pairs: Vec<(usize, usize)> = (0..capped.len())
         .flat_map(|t| (0..runs.len()).map(move |idx| (t, idx)))
-        .collect();
-    let qualifies: Vec<bool> = twins
-        .iter()
-        .map(|&(tm, to)| twin_of(m, opts, tm, to))
         .collect();
     let regions = set.regions();
     let mut redone = treegion_par::par_map(&pairs, |&(t, idx)| {
-        let (tm, to) = twins[t];
-        let reused = qualifies[t] && matches!(&runs[idx], Ok(run) if run.fits(tm));
+        let reused = matches!(&runs[idx], Ok(run) if run.fits(&capped[t]));
         (!reused).then(|| {
             schedule_one(
                 f,
@@ -324,15 +333,15 @@ pub(crate) fn run_robust_files(
                 live,
                 Some(&lowered[idx]),
                 origin_map,
-                tm,
-                to,
+                &capped[t],
+                &capped_opts,
                 None,
                 obs,
             )
         })
     })
     .into_iter();
-    let twin_runs: Vec<Vec<Result<RegionRun, PipelineError>>> = (0..twins.len())
+    let capped_runs: Vec<Vec<Result<RegionRun, PipelineError>>> = (0..capped.len())
         .map(|_| {
             runs.iter()
                 .map(|run| match redone.next().expect("one entry per pair") {
@@ -343,20 +352,9 @@ pub(crate) fn run_robust_files(
         })
         .collect();
     std::iter::once(runs)
-        .chain(twin_runs)
+        .chain(capped_runs)
         .map(|runs| merge(runs, set.kind(), obs))
         .collect()
-}
-
-/// Whether the capped machine `tm` under `to` may reuse outcomes of the
-/// unbounded machine `m` under `opts` (see [`run_robust_files`]).
-fn twin_of(m: &MachineModel, opts: &RobustOptions, tm: &MachineModel, to: &RobustOptions) -> bool {
-    tm.same_resources(m)
-        && to.fault.is_none()
-        && to.sched == opts.sched
-        && to.budgets == opts.budgets
-        && to.panic_on_region == opts.panic_on_region
-        && (opts.verify != VerifyMode::Off || to.verify == VerifyMode::Off)
 }
 
 /// What one attempt produced: a schedule with its scheduler counters and
@@ -381,9 +379,9 @@ struct RegionRun {
 
 impl RegionRun {
     /// Whether this run, made on an unbounded file, is exactly what the
-    /// chain would produce on the capped twin `tm`: a clean primary
-    /// outcome whose file demand stays below every cap of `tm` and whose
-    /// schedule fits `tm`'s files.
+    /// chain would produce on `tm`, the same machine with capped files: a
+    /// clean primary outcome whose file demand stays below every cap of
+    /// `tm` and whose schedule fits `tm`'s files.
     fn fits(&self, tm: &MachineModel) -> bool {
         let [o] = self.outcomes.as_slice() else {
             return false;
@@ -1013,6 +1011,78 @@ mod tests {
             assert_eq!(s.exit_cycles, t.exit_cycles, "outcome {i}");
             assert_eq!(s.eliminated, t.eliminated, "outcome {i}");
             assert_eq!(s.reg_alias, t.reg_alias, "outcome {i}");
+        }
+    }
+
+    /// Counts list-scheduling runs.
+    #[derive(Default)]
+    struct CountSched(std::sync::atomic::AtomicUsize);
+
+    impl PassObserver for CountSched {
+        fn stage_enter(&self, stage: Stage, _: StageScope<'_>) {
+            if stage == Stage::ListSched {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_register_file_sweep_schedules_each_region_once() {
+        let (f, _) = figure1_cfg();
+        let (formed, front) = crate::form_and_lower(
+            &f,
+            &crate::former::RegionConfig::Treegion,
+            &crate::observe::NullObserver,
+        );
+        let m = model();
+        let p = crate::Pipeline::new(&m);
+        let count = CountSched::default();
+        // Files no region comes near: every capped machine reuses the
+        // unbounded schedules, so each region is list-scheduled once.
+        let caps = [1000, 64];
+        let runs = p.run_lowered_files(&formed, &front, &caps, FallbackPolicy::default(), &count);
+        assert_eq!(count.0.into_inner(), formed.regions.len());
+        // A file as large as the largest GPR demand binds that region,
+        // which re-runs. Either way each result is what the chain gives
+        // on that machine alone.
+        let demand = runs[0].as_ref().unwrap().outcomes.iter();
+        let demand = demand
+            .map(|o| o.metrics.file_demand[RegClass::Gpr.index()])
+            .max()
+            .unwrap();
+        let count = CountSched::default();
+        let tight = p.run_lowered_files(
+            &formed,
+            &front,
+            &[demand],
+            FallbackPolicy::default(),
+            &count,
+        );
+        assert!(
+            count.0.into_inner() > formed.regions.len(),
+            "nothing re-ran"
+        );
+        let alone = |m: &MachineModel, fallback| {
+            let opts = RobustOptions {
+                fallback,
+                ..Default::default()
+            };
+            crate::Pipeline::with_options(m, opts).run_lowered(
+                &formed,
+                &front,
+                &crate::observe::NullObserver,
+            )
+        };
+        let machines = std::iter::once((model(), FallbackPolicy::Bb))
+            .chain(caps.map(|cap| (model().with_gpr_file(cap), FallbackPolicy::default())));
+        for (run, (m, fallback)) in runs.iter().zip(machines) {
+            assert_same_result(run.as_ref().unwrap(), &alone(&m, fallback).unwrap());
+        }
+        let capped = model().with_gpr_file(demand);
+        match (&tight[1], alone(&capped, FallbackPolicy::default())) {
+            (Ok(a), Ok(b)) => assert_same_result(a, &b),
+            (Err(a), Err(b)) => assert_eq!(a, &b),
+            (a, b) => panic!("sweep {a:?} but alone {b:?}"),
         }
     }
 

@@ -21,11 +21,11 @@
 //!   machine)` → the [`CellValue`] of that cell: its `program_time` and
 //!   its [`PressureStats`] (figures share cells: fig6's treegion column
 //!   is fig8's dep-height column, and `pressure-stats@4u` reads the
-//!   cells `pressure@4u` and fig8 filled). The machines of one request
-//!   are register-file twins of one machine, filled together from one
-//!   sweep ([`treegion::Pipeline::run_lowered_files`]). Each cell has
-//!   one `OnceLock` slot, and the cells of one (module, config,
-//!   unbounded machine) fill under one lock, so two parallel requests
+//!   cells `pressure@4u` and fig8 filled). One request names a machine
+//!   and a register-file sweep over it; its missing cells fill together
+//!   from one sweep ([`treegion::Pipeline::run_lowered_files`]), which
+//!   also stores the machine's own cell. The cells of one (module,
+//!   config, machine) fill under one lock, so two parallel requests
 //!   never compute a cell twice — the 1U basic-block baseline included,
 //!   which every speedup cell reads here. Nothing is computed before a
 //!   cell asks: `Suite::load` schedules nothing.
@@ -209,22 +209,19 @@ pub struct CellValue {
 
 /// Key of the cell layer: module and region-formation identity plus
 /// heuristic, dominator-parallelism flag, and a machine fingerprint (its
-/// `Debug` rendering). With the fingerprint of the machine's unbounded
-/// twin it keys a cell's fill group.
+/// `Debug` rendering). The key of a sweep's own machine keys its fill
+/// group.
 type CellKey = (ModuleKey, ConfigKey, Heuristic, bool, String);
 
 /// A formation-layer entry, filled by the first caller for its key.
 type FormationSlot = Arc<OnceLock<Arc<ModuleFormation>>>;
 
-/// A cell-layer entry, set once by the caller that computed it.
-type CellSlot = Arc<OnceLock<CellValue>>;
-
 struct Inner {
     enabled: bool,
     formations: Mutex<HashMap<(ModuleKey, ConfigKey), FormationSlot>>,
-    cells: Mutex<HashMap<CellKey, CellSlot>>,
-    /// One lock per fill group (the cells of one module, configuration
-    /// and unbounded machine), held while its missing cells compute.
+    cells: Mutex<HashMap<CellKey, CellValue>>,
+    /// One lock per fill group in flight (the cells of one module,
+    /// configuration and machine), held while its missing cells compute.
     fills: Mutex<HashMap<CellKey, Arc<Mutex<()>>>>,
     formation_counters: Counters,
     time_counters: Counters,
@@ -402,102 +399,105 @@ impl FormationCache {
         Arc::clone(formation)
     }
 
-    /// The cells of `module` under `config` on `machines`, which must be
-    /// register-file twins of one machine (the same machine once
-    /// [`MachineModel::without_reg_caps`] is applied). Stored cells are
-    /// returned as they are; `compute` gets the indices of the missing
-    /// ones and returns their values in that order, and the successful
-    /// ones are stored (always recomputed when the cache is disabled).
-    /// Single-flight: the group's lock is held while `compute` runs, and
-    /// a caller that waited on it counts the cells it then finds as hits.
+    /// The cells of `module` under `config` on `machine` under each GPR
+    /// file of `files` (`None`: the machine as it is; `Some(cap)`: it
+    /// with a `cap`-entry file, [`MachineModel::with_gpr_file`]). Stored
+    /// cells are returned as they are. `compute` gets the missing files —
+    /// `None` among them, first, whenever the machine's own cell is not
+    /// stored, requested or not, since its sweep computes it anyway — and
+    /// returns their values in that order; the successful ones are stored
+    /// (nothing is, when the cache is disabled). Single-flight: the
+    /// group's lock is held while `compute` runs, and a caller that
+    /// waited on it counts the cells it then finds as hits. Hits and
+    /// misses count requested cells only.
     ///
     /// # Panics
     ///
-    /// Panics if the machines are not twins, or if `compute` returns the
-    /// wrong number of values.
-    pub fn cells<E>(
+    /// Panics if `compute` returns the wrong number of values.
+    pub fn cells<E: Clone>(
         &self,
         module: &Module,
         config: &EvalConfig,
-        machines: &[MachineModel],
-        compute: impl FnOnce(&[usize]) -> Vec<Result<CellValue, E>>,
+        machine: &MachineModel,
+        files: &[Option<u32>],
+        compute: impl FnOnce(&[Option<u32>]) -> Vec<Result<CellValue, E>>,
     ) -> Vec<Result<CellValue, E>> {
         let counters = &self.inner.time_counters;
-        let all: Vec<usize> = (0..machines.len()).collect();
-        let Some(base) = machines.first().map(MachineModel::without_reg_caps) else {
-            return Vec::new();
-        };
-        assert!(
-            machines.iter().all(|m| m.without_reg_caps() == base),
-            "one request's machines must be register-file twins"
-        );
-        if !self.inner.enabled {
-            for _ in &all {
-                counters.miss();
-            }
-            return compute(&all);
-        }
-        let key = |m: &MachineModel| {
+        let enabled = self.inner.enabled;
+        let key = |file: Option<u32>| {
             (
                 ModuleKey::of(module),
                 ConfigKey::of(&config.region),
                 config.heuristic,
                 config.dominator_parallelism,
-                machine_key(m),
+                match file {
+                    Some(cap) => machine_key(&machine.with_gpr_file(cap)),
+                    None => machine_key(machine),
+                },
             )
         };
-        let slots: Vec<CellSlot> = {
-            let mut map = lock_tolerant(&self.inner.cells);
-            machines
-                .iter()
-                .map(|m| Arc::clone(map.entry(key(m)).or_default()))
-                .collect()
+        let stored = |keys: &[CellKey]| -> Vec<Option<CellValue>> {
+            if !enabled {
+                return vec![None; keys.len()];
+            }
+            let cells = lock_tolerant(&self.inner.cells);
+            keys.iter().map(|k| cells.get(k).copied()).collect()
         };
-        let stored = |slots: &[CellSlot]| -> Vec<Option<CellValue>> {
-            slots.iter().map(|s| s.get().copied()).collect()
-        };
-        let mut values = stored(&slots);
+        let keys: Vec<CellKey> = files.iter().map(|&f| key(f)).collect();
+        let mut values = stored(&keys);
+        let mut missing: Vec<Option<u32>> = Vec::new();
+        let mut computed = Vec::new();
         if values.iter().any(Option::is_none) {
+            let group = key(None);
             let fill = Arc::clone(
                 lock_tolerant(&self.inner.fills)
-                    .entry(key(&base))
+                    .entry(group.clone())
                     .or_default(),
             );
-            let _held = lock_tolerant(&fill);
-            values = stored(&slots);
-            let missing: Vec<usize> = all
-                .iter()
-                .copied()
-                .filter(|&i| values[i].is_none())
-                .collect();
-            if !missing.is_empty() {
-                let computed = compute(&missing);
-                assert_eq!(computed.len(), missing.len(), "one value per missing cell");
-                let mut out: Vec<Option<Result<CellValue, E>>> =
-                    values.iter().map(|v| v.map(Ok)).collect();
-                for (&i, r) in missing.iter().zip(computed) {
-                    counters.miss();
-                    if let Ok(v) = &r {
-                        // Only this group's lock holder fills its slots.
-                        let _ = slots[i].set(*v);
+            let held = lock_tolerant(&fill);
+            values = stored(&keys);
+            if values.iter().any(Option::is_none) {
+                if stored(std::slice::from_ref(&group))[0].is_none() {
+                    missing.push(None);
+                }
+                for (&f, v) in files.iter().zip(&values) {
+                    if v.is_none() && !missing.contains(&f) {
+                        missing.push(f);
                     }
-                    out[i] = Some(r);
                 }
-                for _ in 0..machines.len() - missing.len() {
-                    counters.hit();
+                computed = compute(&missing);
+                assert_eq!(computed.len(), missing.len(), "one value per missing cell");
+                if enabled {
+                    let mut cells = lock_tolerant(&self.inner.cells);
+                    for (&f, r) in missing.iter().zip(&computed) {
+                        if let Ok(v) = r {
+                            cells.insert(key(f), *v);
+                        }
+                    }
                 }
-                return out
-                    .into_iter()
-                    .map(|r| r.expect("every cell filled"))
-                    .collect();
+            }
+            drop(held);
+            // Only the fills map hands out clones of a group's lock, so a
+            // count of two (the map's and this one) means nobody waits.
+            let mut fills = lock_tolerant(&self.inner.fills);
+            if Arc::strong_count(&fill) == 2 {
+                fills.remove(&group);
             }
         }
-        for _ in &all {
-            counters.hit();
-        }
-        values
-            .into_iter()
-            .map(|v| Ok(v.expect("every cell stored")))
+        files
+            .iter()
+            .zip(values)
+            .map(|(f, v)| match v {
+                Some(v) => {
+                    counters.hit();
+                    Ok(v)
+                }
+                None => {
+                    counters.miss();
+                    let at = missing.iter().position(|m| m == f);
+                    computed[at.expect("every missing file computed")].clone()
+                }
+            })
             .collect()
     }
 
@@ -527,7 +527,6 @@ impl FormationCache {
     pub fn clear(&self) {
         lock_tolerant(&self.inner.formations).clear();
         lock_tolerant(&self.inner.cells).clear();
-        lock_tolerant(&self.inner.fills).clear();
     }
 }
 
@@ -576,7 +575,7 @@ mod tests {
         let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
         let cache = FormationCache::new();
         let one = |machine: MachineModel, t: f64| {
-            cache.cells(&m, &cfg, &[machine], |_| vec![Ok::<_, ()>(value(t))])[0]
+            cache.cells(&m, &cfg, &machine, &[None], |_| vec![Ok::<_, ()>(value(t))])[0]
                 .unwrap()
                 .time
         };
@@ -587,45 +586,81 @@ mod tests {
         assert_eq!(cache.stats().time.hits, 0);
     }
 
-    #[test]
-    fn cell_layer_memoizes_cells_and_fills_only_the_missing_twins() {
+    /// Fills `files` of `machine` through `cache`, each missing cell
+    /// valued `t` plus its position among the missing, and records what
+    /// `compute` was asked for.
+    fn fill(
+        cache: &FormationCache,
+        machine: &MachineModel,
+        files: &[Option<u32>],
+        t: f64,
+        asked: &mut Vec<Vec<Option<u32>>>,
+    ) -> Vec<f64> {
         let m = generate(&BenchmarkSpec::tiny(73));
         let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
+        cache
+            .cells(&m, &cfg, machine, files, |missing| {
+                asked.push(missing.to_vec());
+                (0..missing.len())
+                    .map(|i| Ok::<_, ()>(value(t + i as f64)))
+                    .collect()
+            })
+            .into_iter()
+            .map(|r| r.unwrap().time)
+            .collect()
+    }
+
+    #[test]
+    fn cell_layer_memoizes_cells_and_fills_only_the_missing_files() {
         let m4 = MachineModel::model_4u();
-        let twins = [m4.clone(), m4.with_gpr_file(64), m4.with_gpr_file(32)];
+        let files = [None, Some(64), Some(32)];
         let cache = FormationCache::new();
-        let mut asked: Vec<Vec<usize>> = Vec::new();
-        let mut fill = |machines: &[MachineModel], t: f64| -> Vec<f64> {
-            cache
-                .cells(&m, &cfg, machines, |missing| {
-                    asked.push(missing.to_vec());
-                    missing
-                        .iter()
-                        .map(|&i| Ok::<_, ()>(value(t + i as f64)))
-                        .collect()
-                })
-                .into_iter()
-                .map(|r| r.unwrap().time)
-                .collect()
-        };
-        assert_eq!(fill(&twins[..1], 40.0), [40.0]);
-        // The unbounded cell is stored: only the capped twins compute.
-        assert_eq!(fill(&twins, 90.0), [40.0, 91.0, 92.0]);
-        assert_eq!(fill(&twins, 0.0), [40.0, 91.0, 92.0]);
-        assert_eq!(asked, vec![vec![0], vec![1, 2]]);
+        let mut asked = Vec::new();
+        assert_eq!(fill(&cache, &m4, &files[..1], 40.0, &mut asked), [40.0]);
+        // The machine's own cell is stored: only the capped files compute.
+        assert_eq!(
+            fill(&cache, &m4, &files, 90.0, &mut asked),
+            [40.0, 90.0, 91.0]
+        );
+        assert_eq!(
+            fill(&cache, &m4, &files, 0.0, &mut asked),
+            [40.0, 90.0, 91.0]
+        );
+        assert_eq!(asked, vec![vec![None], vec![Some(64), Some(32)]]);
         let s = cache.stats().time;
         assert_eq!((s.misses, s.hits), (3, 4));
+        // A capped file is the same cell whichever way it is named.
+        let r64 = m4.with_gpr_file(64);
+        assert_eq!(fill(&cache, &r64, &[None], 0.0, &mut asked), [90.0]);
+    }
+
+    #[test]
+    fn a_sweep_stores_its_machines_own_cell() {
+        let m8 = MachineModel::model_8u();
+        let cache = FormationCache::new();
+        let mut asked = Vec::new();
+        assert_eq!(fill(&cache, &m8, &[Some(16)], 5.0, &mut asked), [6.0]);
+        assert_eq!(fill(&cache, &m8, &[None], 0.0, &mut asked), [5.0]);
+        assert_eq!(asked, vec![vec![None, Some(16)]]);
+        let s = cache.stats().time;
+        assert_eq!((s.misses, s.hits), (1, 1));
+        // A disabled cache stores nothing and recomputes every time.
+        let off = FormationCache::disabled();
+        for _ in 0..2 {
+            assert_eq!(fill(&off, &m8, &[Some(16)], 5.0, &mut asked), [6.0]);
+        }
+        assert_eq!(off.stats().time.misses, 2);
     }
 
     #[test]
     fn failed_cells_are_not_stored() {
         let m = generate(&BenchmarkSpec::tiny(77));
         let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
-        let machines = [MachineModel::model_4u()];
+        let m4 = MachineModel::model_4u();
         let cache = FormationCache::new();
-        let r = cache.cells(&m, &cfg, &machines, |_| vec![Err("boom")]);
+        let r = cache.cells(&m, &cfg, &m4, &[None], |_| vec![Err("boom")]);
         assert_eq!(r, vec![Err("boom")]);
-        let r = cache.cells(&m, &cfg, &machines, |_| vec![Ok::<_, &str>(value(1.0))]);
+        let r = cache.cells(&m, &cfg, &m4, &[None], |_| vec![Ok::<_, &str>(value(1.0))]);
         assert_eq!(r, vec![Ok(value(1.0))]);
         assert_eq!(cache.stats().time.misses, 2);
     }
@@ -637,25 +672,36 @@ mod tests {
         let m4 = MachineModel::model_4u();
         let cache = FormationCache::new();
         let computed = AtomicU64::new(0);
-        let requests: Vec<Vec<MachineModel>> = (0..8)
+        let requests: Vec<Vec<Option<u32>>> = (0..8)
             .map(|k| match k % 3 {
-                0 => vec![m4.clone()],
-                1 => vec![m4.clone(), m4.with_gpr_file(32)],
-                _ => vec![m4.with_gpr_file(32)],
+                0 => vec![None],
+                1 => vec![None, Some(32)],
+                _ => vec![Some(32)],
             })
             .collect();
-        let times = treegion_par::par_map_jobs(4, &requests, |machines| {
-            cache.cells(&m, &cfg, machines, |missing| {
+        let times = treegion_par::par_map_jobs(4, &requests, |files| {
+            cache.cells(&m, &cfg, &m4, files, |missing| {
                 computed.fetch_add(missing.len() as u64, Ordering::Relaxed);
                 missing
                     .iter()
-                    .map(|&i| Ok::<_, ()>(value(machines[i].name().len() as f64)))
+                    .map(|f| Ok::<_, ()>(value(f.unwrap_or(0) as f64)))
                     .collect()
             })
         });
         assert_eq!(computed.load(Ordering::Relaxed), 2, "{times:?}");
+        for (files, cells) in requests.iter().zip(&times) {
+            let want: Vec<_> = files
+                .iter()
+                .map(|f| Ok(value(f.unwrap_or(0) as f64)))
+                .collect();
+            assert_eq!(cells, &want);
+        }
+        // A request for the capped file alone may compute the unbounded
+        // cell unasked, so one requested cell or two missed.
         let s = cache.stats().time;
-        assert_eq!((s.misses, s.hits), (2, 11 - 2));
+        assert_eq!(s.misses + s.hits, 11, "{s:?}");
+        assert!((1..=2).contains(&s.misses), "{s:?}");
+        assert!(lock_tolerant(&cache.inner.fills).is_empty());
     }
 
     #[test]

@@ -260,27 +260,17 @@ fn pressure_modules(suite: &Suite) -> Vec<Module> {
     ms
 }
 
-/// `machine` under each file of `files`: the register-file twins one
-/// sweep fills.
-fn at_files(machine: &MachineModel, files: &[Option<u32>]) -> Vec<MachineModel> {
-    files
-        .iter()
-        .map(|file| match file {
-            Some(cap) => machine.with_gpr_file(*cap),
-            None => machine.clone(),
-        })
-        .collect()
-}
-
-/// The cells of `module` under `config` on `machines` from one sweep,
-/// panicking with the first failed cell's error.
+/// The cells of `module` under `config` on `machine` under each GPR file
+/// of `files` from one sweep, panicking with the first failed cell's
+/// error.
 fn sweep(
     module: &Module,
     config: &EvalConfig,
-    machines: &[MachineModel],
+    machine: &MachineModel,
+    files: &[Option<u32>],
     cache: &FormationCache,
 ) -> Vec<crate::CellValue> {
-    sweep_cached(module, config, machines, cache)
+    sweep_cached(module, config, machine, files, cache)
         .into_iter()
         .map(expect_cell)
         .collect()
@@ -301,7 +291,6 @@ pub fn pressure_ablation(suite: &Suite, machine: &MachineModel) -> Table {
     let schemes = [RegionConfig::BasicBlock, RegionConfig::Treegion];
     let modules = pressure_modules(suite);
     let cache = suite.cache();
-    let files = at_files(machine, &ABLATION_FILES);
     // One sweep per (module, scheme) fills all three files.
     let sweeps: Vec<(usize, usize)> = (0..modules.len())
         .flat_map(|i| (0..schemes.len()).map(move |k| (i, k)))
@@ -309,7 +298,7 @@ pub fn pressure_ablation(suite: &Suite, machine: &MachineModel) -> Table {
     let speedups = treegion_par::par_map(&sweeps, |&(i, k)| {
         let cfg = EvalConfig::new(schemes[k], Heuristic::GlobalWeight);
         let base = baseline_time_cached(&modules[i], cache);
-        sweep(&modules[i], &cfg, &files, cache)
+        sweep(&modules[i], &cfg, machine, &ABLATION_FILES, cache)
             .into_iter()
             .map(|c| base / c.time)
             .collect::<Vec<f64>>()
@@ -317,7 +306,7 @@ pub fn pressure_ablation(suite: &Suite, machine: &MachineModel) -> Table {
     let best = |bb: f64, tree: f64| if tree >= bb { "tree" } else { "bb" };
     for (i, m) in modules.iter().enumerate() {
         // Columns: each file, bb then tree.
-        let v: Vec<f64> = (0..files.len())
+        let v: Vec<f64> = (0..ABLATION_FILES.len())
             .flat_map(|f| (0..schemes.len()).map(move |k| (f, k)))
             .map(|(f, k)| speedups[i * schemes.len() + k][f])
             .collect();
@@ -330,20 +319,27 @@ pub fn pressure_ablation(suite: &Suite, machine: &MachineModel) -> Table {
     t
 }
 
-/// Pressure statistics: peak live registers, ceiling parks, and inserted
-/// spills for treegion/global-weight scheduling, unbounded vs a
-/// 32-register GPR file — the max-pressure and spill-count columns.
+/// Pressure statistics: peak live GPRs, ceiling parks, inserted spills
+/// and regions degraded below their primary shape for
+/// treegion/global-weight scheduling, unbounded vs a 32-register GPR
+/// file — the max-pressure and spill-count columns.
 pub fn pressure_table(suite: &Suite, machine: &MachineModel) -> Table {
     let mut t = Table::new(
         format!("Pressure statistics ({machine}, treegions)"),
-        vec!["program", "peak ∞", "peak 32", "parks 32", "spills 32"],
+        vec![
+            "program",
+            "GPR peak ∞",
+            "GPR peak 32",
+            "parks 32",
+            "spills 32",
+            "degraded 32",
+        ],
     );
     let modules = pressure_modules(suite);
     let cache = suite.cache();
     let cfg = EvalConfig::new(RegionConfig::Treegion, Heuristic::GlobalWeight);
-    let files = at_files(machine, &[None, Some(32)]);
     let stats: Vec<_> = treegion_par::par_map(&modules, |m| {
-        let cells = sweep(m, &cfg, &files, cache);
+        let cells = sweep(m, &cfg, machine, &[None, Some(32)], cache);
         (cells[0].stats, cells[1].stats)
     });
     for (m, (unb, fin)) in modules.iter().zip(stats) {
@@ -353,6 +349,7 @@ pub fn pressure_table(suite: &Suite, machine: &MachineModel) -> Table {
             fin.peak.to_string(),
             fin.parks.to_string(),
             fin.spills.to_string(),
+            fin.degraded.to_string(),
         ]);
     }
     t

@@ -5,18 +5,21 @@
 //! [`RegionConfig`] enum implements it), and every region is scheduled
 //! by the driver's verifier-gated chain:
 //! [`treegion::Pipeline::run_lowered_files`] on the [`FormationCache`]'s
-//! front half for the analytic cells (one machine and any of its
-//! register-file twins at once), and [`treegion::Pipeline::run_module`]
+//! front half for the analytic cells (one machine under several GPR
+//! files at once), and [`treegion::Pipeline::run_module`]
 //! for [`program_time_robust`]. The evaluation-specific parts that
 //! remain are the cell memoization and the analytic time/speedup
-//! aggregation.
+//! aggregation. Cells live in the cache's single-flight cell layer
+//! ([`FormationCache::cells`]), which holds each cell's time and
+//! pressure statistics; a cell is scheduled when it is first asked for,
+//! the 1U baselines included, so loading a suite schedules nothing.
 
 use crate::cache::CellValue;
 use crate::stats::PressureStats;
 use crate::{EvalConfig, FormationCache, RegionConfig};
 use treegion::{
     EventLog, FallbackPolicy, FormOutcome, Heuristic, Pipeline, PipelineError, RegionFormer,
-    RobustOptions, RobustResult,
+    RobustOptions,
 };
 use treegion_ir::{Function, Module};
 use treegion_machine::MachineModel;
@@ -32,19 +35,25 @@ pub fn form_function(f: &Function, config: &RegionConfig) -> FormOutcome {
 }
 
 /// The driver options of one analytic cell: `config`'s scheduler options,
-/// strict verification, and the fallback ladder only where a finite
-/// register file can leave a region no primary schedule. On unbounded
-/// files a region that fails at its primary shape is an error, not a
-/// silent re-carve that would change the number the cell reports.
+/// strict verification, and the fallback ladder of
+/// [`cell_fallback`] for `machine`'s files.
 pub(crate) fn cell_options(config: &EvalConfig, machine: &MachineModel) -> RobustOptions {
     RobustOptions {
         sched: config.sched_options(),
-        fallback: if machine.has_finite_regs() {
-            FallbackPolicy::default()
-        } else {
-            FallbackPolicy::None
-        },
+        fallback: cell_fallback(machine.has_finite_regs()),
         ..Default::default()
+    }
+}
+
+/// The fallback ladder of an analytic cell: the default ladder only where
+/// a finite register file can leave a region no primary schedule. On
+/// unbounded files a region that fails at its primary shape is an error,
+/// not a silent re-carve that would change the number the cell reports.
+fn cell_fallback(finite_files: bool) -> FallbackPolicy {
+    if finite_files {
+        FallbackPolicy::default()
+    } else {
+        FallbackPolicy::None
     }
 }
 
@@ -117,9 +126,9 @@ pub fn cell_cached(
     machine: &MachineModel,
     cache: &FormationCache,
 ) -> Result<CellValue, PipelineError> {
-    sweep_cached(module, config, std::slice::from_ref(machine), cache)
+    sweep_cached(module, config, machine, &[None], cache)
         .pop()
-        .expect("one cell per machine")
+        .expect("one cell per file")
 }
 
 /// Panics with a failed cell's [`PipelineError`].
@@ -127,64 +136,73 @@ pub(crate) fn expect_cell(cell: Result<CellValue, PipelineError>) -> CellValue {
     cell.unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The cells of `module` under `config` on `machines` — register-file
-/// twins of one machine, e.g. one machine at several GPR file sizes —
-/// in one sweep: the chain runs once on the unbounded machine, and each
-/// capped file re-runs it only on the regions it binds
-/// ([`Pipeline::run_lowered_files`]). Cells already in `cache` are not
-/// recomputed. Each value equals what the chain gives on that machine
+/// The cells of `module` under `config` on `machine` under each GPR file
+/// of `files` — `None` is `machine` as it is, `Some(cap)` is it with a
+/// `cap`-entry file ([`MachineModel::with_gpr_file`]) — in one sweep:
+/// the chain runs once on `machine`, and each capped file re-runs it only
+/// on the regions it binds ([`Pipeline::run_lowered_files`]). Cells
+/// already in `cache` are not recomputed; the sweep stores `machine`'s
+/// own cell too. Each value equals what the chain gives on that machine
 /// alone: the time summed per region, then per function, and the
-/// pressure statistics folded from the accepted schedules. Every cell
-/// the harness prints comes from here.
+/// pressure statistics folded from the accepted schedules; a capped file
+/// whose chain fails on a function is not swept over the later ones, its
+/// cell being that first error. Every cell the harness prints comes from
+/// here.
 ///
 /// # Panics
 ///
-/// Panics if the machines are not register-file twins of one machine.
+/// Panics if `files` holds a capped file while `machine` has a finite
+/// register file.
 pub fn sweep_cached(
     module: &Module,
     config: &EvalConfig,
-    machines: &[MachineModel],
+    machine: &MachineModel,
+    files: &[Option<u32>],
     cache: &FormationCache,
 ) -> Vec<Result<CellValue, PipelineError>> {
-    cache.cells(module, config, machines, |missing| {
-        let base = machines[missing[0]].without_reg_caps();
-        let capped: Vec<&MachineModel> = missing
-            .iter()
-            .map(|&i| &machines[i])
-            .filter(|m| m.has_finite_regs())
-            .collect();
-        let p = Pipeline::with_options(&base, cell_options(config, &base));
-        let twins: Vec<Pipeline<'_>> = capped
-            .iter()
-            .map(|m| Pipeline::with_options(m, cell_options(config, m)))
-            .collect();
-        // One result list per function, unbounded first, then the twins.
-        let runs: Vec<Vec<Result<RobustResult, PipelineError>>> = cache
-            .formation(module, &config.region)
-            .functions
-            .iter()
-            .map(|ff| p.run_lowered_files(&ff.formed, &ff.front, &twins, &treegion::NullObserver))
-            .collect();
-        let fold = |k: usize| -> Result<CellValue, PipelineError> {
-            let results: Vec<&RobustResult> = runs
-                .iter()
-                .map(|r| r[k].as_ref().map_err(Clone::clone))
-                .collect::<Result<_, _>>()?;
+    cache.cells(module, config, machine, files, |missing| {
+        let caps: Vec<u32> = missing.iter().flatten().copied().collect();
+        let p = Pipeline::with_options(machine, cell_options(config, machine));
+        // One running cell per machine, `machine` first, then the caps;
+        // a capped file leaves the sweep at its first error.
+        let mut cells: Vec<Result<CellValue, PipelineError>> = vec![
             Ok(CellValue {
-                time: results.iter().map(|r| r.estimated_time()).sum(),
-                stats: PressureStats::of(results.iter().flat_map(|r| &r.outcomes)),
-            })
-        };
-        let mut twin = 0;
+                time: 0.0,
+                stats: PressureStats::default(),
+            });
+            caps.len() + 1
+        ];
+        for ff in &cache.formation(module, &config.region).functions {
+            let live: Vec<usize> = (1..cells.len()).filter(|&k| cells[k].is_ok()).collect();
+            let live_caps: Vec<u32> = live.iter().map(|&k| caps[k - 1]).collect();
+            let runs = p.run_lowered_files(
+                &ff.formed,
+                &ff.front,
+                &live_caps,
+                cell_fallback(true),
+                &treegion::NullObserver,
+            );
+            for (k, run) in std::iter::once(0).chain(live).zip(runs) {
+                if let Ok(cell) = &mut cells[k] {
+                    match run {
+                        Ok(run) => {
+                            cell.time += run.estimated_time();
+                            cell.stats.add(&run);
+                        }
+                        Err(e) => cells[k] = Err(e),
+                    }
+                }
+            }
+        }
+        let mut capped = 0;
         missing
             .iter()
-            .map(|&i| {
-                if machines[i].has_finite_regs() {
-                    twin += 1;
-                    fold(twin)
-                } else {
-                    fold(0)
+            .map(|file| match file {
+                Some(_) => {
+                    capped += 1;
+                    cells[capped].clone()
                 }
+                None => cells[0].clone(),
             })
             .collect()
     })

@@ -2,8 +2,8 @@
 //! live-range pressure statistics (the pressure ablation's columns).
 
 use crate::{EvalConfig, FormationCache, RegionConfig};
-use treegion::RegionOutcome;
-use treegion_ir::Module;
+use treegion::{FallbackLevel, RobustResult};
+use treegion_ir::{Module, RegClass};
 use treegion_machine::MachineModel;
 
 /// Aggregate region statistics for one program under one region type —
@@ -67,32 +67,40 @@ pub fn region_stats_cached(
 
 /// Live-range pressure and spill statistics of one program under one
 /// configuration and machine — the eval harness's max-pressure and
-/// spill-count columns.
+/// spill-count columns — over the schedules the analytic time model
+/// charged for: each region's accepted attempt, spill rounds included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PressureStats {
-    /// Peak simultaneously-live registers in any class, over all regions
-    /// (a maximum, not a sum).
+    /// Peak simultaneously-live GPRs, over all regions (a maximum, not a
+    /// sum). The GPR file is the only one any preset caps.
     pub peak: u32,
     /// Ready ops deferred by the register-pressure ceiling.
     pub parks: u64,
     /// Spill ops inserted to fit the register file (0 when unbounded).
     pub spills: u64,
+    /// Regions scheduled below their primary shape: re-carved into SLRs
+    /// or basic blocks after the primary attempt failed.
+    pub degraded: u64,
 }
 
 impl PressureStats {
-    /// Folds the list scheduler's counters of accepted schedules (every
-    /// outcome of a module's runs): the largest peak, the summed parks
-    /// and spills.
-    pub fn of<'a>(outcomes: impl IntoIterator<Item = &'a RegionOutcome>) -> Self {
-        outcomes
-            .into_iter()
-            .fold(PressureStats::default(), |acc, o| PressureStats {
-                peak: acc
-                    .peak
-                    .max(o.metrics.pressure_peak.iter().copied().max().unwrap_or(0)),
-                parks: acc.parks + o.metrics.pressure_parks,
-                spills: acc.spills + o.spills,
-            })
+    /// Adds the list scheduler's counters of one function's accepted
+    /// schedules: the GPR peak by maximum, parks and spills by sum, and
+    /// each degraded region once.
+    pub fn add(&mut self, run: &RobustResult) {
+        let mut last = None;
+        for o in &run.outcomes {
+            self.peak = self
+                .peak
+                .max(o.metrics.pressure_peak[RegClass::Gpr.index()]);
+            self.parks += o.metrics.pressure_parks;
+            self.spills += o.spills;
+            // A degraded region's carved pieces are adjacent.
+            if o.level != FallbackLevel::Primary && last != Some(o.region_index) {
+                self.degraded += 1;
+            }
+            last = Some(o.region_index);
+        }
     }
 }
 

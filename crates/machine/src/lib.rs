@@ -208,37 +208,6 @@ impl MachineModel {
         m
     }
 
-    /// This machine with every register file unbounded: the machine a
-    /// capped variant was derived from, with the `+r<cap>` suffixes
-    /// [`MachineModel::with_gpr_file`] added to the name dropped again.
-    pub fn without_reg_caps(&self) -> MachineModel {
-        let mut m = self.clone();
-        if m.has_finite_regs() {
-            m.reg_file = RegisterFile::UNBOUNDED;
-            while let Some((base, cap)) = m.name.rsplit_once("+r") {
-                if cap.is_empty() || !cap.bytes().all(|b| b.is_ascii_digit()) {
-                    break;
-                }
-                m.name.truncate(base.len());
-            }
-        }
-        m
-    }
-
-    /// `true` when `other` has this machine's issue width, latencies and
-    /// units — everything but the name and the register files. Such
-    /// twins build the same dependence graphs and probe the same hazard
-    /// automaton, so their schedules differ only where a register file
-    /// binds.
-    pub fn same_resources(&self, other: &MachineModel) -> bool {
-        self.issue_width == other.issue_width
-            && self.load_latency == other.load_latency
-            && self.fmul_latency == other.fmul_latency
-            && self.fdiv_latency == other.fdiv_latency
-            && self.mem_dep_same_cycle == other.mem_dep_same_cycle
-            && self.class_units == other.class_units
-    }
-
     /// Starts building a custom machine named `name` with the given issue
     /// width, using the paper's latency defaults.
     ///

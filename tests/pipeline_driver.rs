@@ -15,9 +15,11 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
-use treegion_suite::eval::{cell_cached, EvalConfig, FormationCache, PressureStats, Suite};
+use treegion_suite::eval::{
+    sweep_cached, CellValue, EvalConfig, FormationCache, PressureStats, Suite,
+};
 use treegion_suite::prelude::*;
-use treegion_suite::treegion::{FallbackPolicy, PipelineError};
+use treegion_suite::treegion::{FallbackLevel, FallbackPolicy, PipelineError};
 use treegion_suite::workloads::generate_fuzz;
 
 fn golden_corpus() -> Vec<Function> {
@@ -242,16 +244,27 @@ fn assert_stage_protocol(f: &Function, regions: usize, rec: Recorder) {
     assert_eq!(events.len(), 2 + per_region_events, "stray observer events");
 }
 
+/// What [`run_formed_reference`] computes for one cell.
+#[derive(Debug)]
+struct Reference {
+    time: f64,
+    stats: PressureStats,
+}
+
 /// The time and pressure statistics of one module the way the harness
 /// computed them before it reused the cached front half: every function
-/// formed and driven through [`Pipeline::run_formed`] on `machine`
-/// alone, the statistics folded from the accepted outcomes; or the first
-/// function's error.
+/// formed and driven through [`Pipeline::run_formed`] on `machine` alone
+/// under the cells' options (strict verification, the fallback ladder
+/// only on finite files); or the first function's error. The statistics
+/// are folded here from the accepted outcomes, and checked against a
+/// [`Profiler`]'s list-scheduling report of the same runs: equal where
+/// no region degraded, and no larger where one did (the profiler also
+/// counts the pieces of a failed rung that scheduled).
 fn run_formed_reference(
     module: &Module,
     config: &EvalConfig,
     machine: &MachineModel,
-) -> Result<(f64, PressureStats), PipelineError> {
+) -> Result<Reference, PipelineError> {
     let p = Pipeline::with_options(
         machine,
         RobustOptions {
@@ -264,51 +277,78 @@ fn run_formed_reference(
             ..Default::default()
         },
     );
+    let prof = Profiler::new();
     let mut stats = PressureStats::default();
-    let mut times = Vec::new();
+    let (mut times, mut any_peak, mut degraded) = (Vec::new(), 0, false);
     for f in module.functions() {
         let formed = p.form(f, &config.region, &NullObserver);
-        let run = p.run_formed(&formed, &NullObserver)?;
+        let run = p.run_formed(&formed, &prof)?;
         times.push(run.estimated_time());
+        degraded |= !run.events.is_empty();
+        let mut below: Vec<usize> = Vec::new();
         for o in &run.outcomes {
+            any_peak = any_peak.max(o.metrics.pressure_peak.into_iter().max().unwrap());
             stats.peak = stats
                 .peak
-                .max(o.metrics.pressure_peak.into_iter().max().unwrap());
+                .max(o.metrics.pressure_peak[RegClass::Gpr.index()]);
             stats.parks += o.metrics.pressure_parks;
             stats.spills += o.spills;
+            if o.level != FallbackLevel::Primary && !below.contains(&o.region_index) {
+                below.push(o.region_index);
+            }
         }
+        stats.degraded += below.len() as u64;
     }
-    Ok((times.into_iter().sum(), stats))
+    let ls = prof
+        .report()
+        .into_iter()
+        .find(|s| s.stage == Stage::ListSched)
+        .expect("profiler reports every stage")
+        .stats;
+    let profiled = (ls.pressure_peak, ls.pressure_parks, ls.spills);
+    let folded = (any_peak, stats.parks, stats.spills);
+    if degraded {
+        assert!(
+            profiled.0 >= folded.0 && profiled.1 >= folded.1 && profiled.2 >= folded.2,
+            "{}: profiler {profiled:?} below the accepted outcomes' {folded:?}",
+            module.name()
+        );
+    } else {
+        assert_eq!(profiled, folded, "{}: profiler vs outcomes", module.name());
+    }
+    Ok(Reference {
+        time: times.into_iter().sum(),
+        stats,
+    })
 }
 
-/// The harness's cells — `cell_cached`, behind `program_time_cached`
-/// and `pressure_stats_cached`, which drives the robust chain from the
-/// cached front half and fills every finite-file cell from a
-/// register-file sweep that re-runs only the regions a file binds —
-/// equal the `run_formed` path bit for bit: times, pressure statistics,
-/// and the error of a cell whose chain fails. Inputs: the reduced suite,
-/// the pressure stressor and two tiny modules, on symmetric and
-/// asymmetric machines, unbounded and at GPR files of 64, 32, 16 and 12,
-/// for basic blocks and treegions under global weight (plus dependence
-/// height and `pressure` on treegions on the asymmetric machine), each
-/// finite cell computed both before and after its unbounded twin.
+/// The harness's cells — `sweep_cached`, behind `program_time_cached`,
+/// `pressure_stats_cached` and the pressure tables, which drives the
+/// robust chain from the cached front half and fills every capped file
+/// of a sweep by re-running only the regions the file binds — equal the
+/// `run_formed` path bit for bit: times, pressure statistics, and the
+/// error of a cell whose chain fails. Inputs: the reduced suite, the
+/// pressure stressor and two tiny modules, on symmetric and asymmetric
+/// machines, unbounded and at GPR files of 64, 32, 16 and 12, for basic
+/// blocks and treegions under global weight (plus dependence height and
+/// `pressure` on treegions on the asymmetric machine). Each is swept
+/// twice on a fresh cache: all files in one sweep, as the harness does,
+/// and one file at a time, smallest first, so every finite cell is
+/// computed before its unbounded twin is requested (that cell then comes
+/// from the first sweep's own run).
 #[test]
 fn cached_front_half_matches_run_formed_under_finite_registers() {
     let mut modules = Suite::load_small(2).modules;
     modules.push(generate(&BenchmarkSpec::pressure()));
     modules.extend([5u64, 7].map(|seed| generate(&BenchmarkSpec::tiny(seed))));
     let files = [None, Some(64), Some(32), Some(16), Some(12)];
-    let (mut spilled, mut failed) = (false, false);
+    let (mut spilled, mut degraded, mut failed) = (false, false, false);
     let global = |region| EvalConfig::new(region, Heuristic::GlobalWeight);
     for base in [
         MachineModel::model_1u(),
         MachineModel::model_4u_asym(),
         MachineModel::model_8u(),
     ] {
-        let machines: Vec<MachineModel> = files
-            .iter()
-            .map(|f| f.map_or(base.clone(), |cap| base.with_gpr_file(cap)))
-            .collect();
         let mut configs = vec![
             global(RegionConfig::BasicBlock),
             global(RegionConfig::Treegion),
@@ -321,38 +361,49 @@ fn cached_front_half_matches_run_formed_under_finite_registers() {
         }
         for config in &configs {
             for m in &modules {
+                let machines: Vec<MachineModel> = files
+                    .iter()
+                    .map(|f| f.map_or(base.clone(), |cap| base.with_gpr_file(cap)))
+                    .collect();
                 let references: Vec<_> = machines
                     .iter()
                     .map(|machine| run_formed_reference(m, config, machine))
                     .collect();
-                // Unbounded twin first, then the finite cells first (the
-                // sweep's cold path), each on a fresh cache.
-                for finite_first in [false, true] {
-                    let cache = FormationCache::new();
-                    let mut order: Vec<usize> = (0..machines.len()).collect();
-                    if finite_first {
-                        order.reverse();
-                    }
-                    for &k in &order {
-                        let machine = &machines[k];
-                        let tag = format!("{} {config:?} on {machine}", m.name());
-                        match (&references[k], cell_cached(m, config, machine, &cache)) {
-                            (Ok((time, stats)), Ok(cell)) => {
-                                assert_eq!(cell.time.to_bits(), time.to_bits(), "{tag}: time");
-                                assert_eq!(cell.stats, *stats, "{tag}: pressure statistics");
-                                spilled |= stats.spills > 0;
-                            }
-                            (Err(e), Err(cell)) => {
-                                assert_eq!(cell, *e, "{tag}: error");
-                                failed = true;
-                            }
-                            (r, c) => panic!("{tag}: reference {r:?} but cell {c:?}"),
+                let mut check = |k: usize, cell: Result<CellValue, PipelineError>| {
+                    let tag = format!("{} {config:?} on {}", m.name(), machines[k]);
+                    match (&references[k], cell) {
+                        (Ok(r), Ok(cell)) => {
+                            assert_eq!(cell.time.to_bits(), r.time.to_bits(), "{tag}: time");
+                            assert_eq!(cell.stats, r.stats, "{tag}: pressure statistics");
+                            spilled |= r.stats.spills > 0;
+                            degraded |= r.stats.degraded > 0;
                         }
+                        (Err(e), Err(cell)) => {
+                            assert_eq!(cell, *e, "{tag}: error");
+                            failed = true;
+                        }
+                        (r, c) => panic!("{tag}: reference {r:?} but cell {c:?}"),
                     }
+                };
+                let cache = FormationCache::new();
+                for (k, cell) in sweep_cached(m, config, &base, &files, &cache)
+                    .into_iter()
+                    .enumerate()
+                {
+                    check(k, cell);
+                }
+                let cache = FormationCache::new();
+                for k in (0..files.len()).rev() {
+                    let cell = sweep_cached(m, config, &base, &files[k..=k], &cache).pop();
+                    check(k, cell.expect("one cell per file"));
                 }
             }
         }
     }
     assert!(spilled, "no cell spilled: the spill rounds went untested");
+    assert!(
+        degraded,
+        "no cell degraded: the fallback ladder went untested"
+    );
     assert!(failed, "no cell failed: the error path went untested");
 }
